@@ -4,7 +4,7 @@ One subcommand per library operation, file based I/O, and a uniform run
 report in either human text or JSON. Exit codes: 0 when the verdict is
 true (or the command simply succeeded), 1 for a definitive false or
 absent answer, 2 when the question could not be settled within budget,
-and 3 for usage or I/O problems.
+and 3 for usage, input or I/O problems, and for any internal failure.
 """
 
 from __future__ import annotations
@@ -430,6 +430,9 @@ def main(argv=None) -> int:
         verdict, witness, raw = "inconclusive", None, None
     except CqError as exc:
         print(f"cqapprox: error: {exc}", file=sys.stderr)
+        verdict, witness, raw = "error", None, None
+    except Exception as exc:  # a defect must not read as a verdict (exit 1)
+        print(f"cqapprox: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         verdict, witness, raw = "error", None, None
     report = {
         "command": args.cmd,

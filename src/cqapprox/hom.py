@@ -1,16 +1,39 @@
 """Homomorphism search, CQ evaluation, containment, and cores.
 
-The search is exact backtracking with full arc consistency: per-atom
-support lists are filtered against the candidate sets of every variable
-(not just assigned ones) to a fixpoint after each assignment, and the
-next variable is always a most-constrained one. On tree-shaped sources
-this makes failure detection immediate. Candidate iteration follows
-canonical order throughout, so returned witnesses are deterministic.
+One engine, `_Search`, serves find_hom, endomorphisms and core. It is
+exact backtracking that keeps generalized arc consistency by support
+counting (AC-4, Mohr & Henderson 1986):
+
+- Target elements are interned to ids in canonical order, so id order
+  is `Term` order.
+- The target rows fitting a source atom (its relation, its repetition
+  pattern and its anchored positions) are built once per such signature
+  and indexed per variable slot and value.
+- Every (atom, slot, value) keeps a count of live rows. Removing a value
+  from a domain kills its rows; a count that falls to 0 removes that
+  value from the slot's variable. Every change after the initial
+  fixpoint goes on a trail, so a branch, or a dropped target fact, is
+  undone exactly.
+
+The next variable is always a most-constrained one (fewest values, then
+canonical order) and values are tried in canonical order. The greatest
+arc-consistent state is unique, so witnesses do not depend on the order
+in which propagation reaches it: they are deterministic.
+
+core() computes a minimal retract (Hell & Nešetřil 1992). For the
+current query it builds one propagated state per source component, with
+the query itself as target, and tests an atom by dropping that fact from
+the state, propagating, searching, and undoing back to the mark. On
+success it jumps to the image of the homomorphism found and repeats. An
+atom once shown non-removable is never tested again: if q ↛ q − b, no
+image I ⊆ q of q that contains b maps into I − b, since q → I → I − b
+would follow.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -20,6 +43,7 @@ from cqapprox.model import (
     ConjunctiveQuery,
     Database,
     Term,
+    check_schemas_agree,
 )
 
 
@@ -61,194 +85,286 @@ def _anchor_map(src_tuple, tgt_tuple):
     return m
 
 
-class _Search:
-    """Iterative backtracking over one set of source atoms.
+class _Target:
+    """A target's facts prepared for search: facts per relation, element
+    ids in canonical order, and the fitting rows per signature, built on
+    first use and shared by every search into this target."""
 
-    `base` holds pre-assigned terms (anchors). Every other source term in
-    the atoms, plus `extra_vars`, becomes a search variable over the
-    target pool.
+    def __init__(self, facts):
+        self.by_rel: dict[str, list[Atom]] = {}
+        for f in facts:
+            self.by_rel.setdefault(f.relation, []).append(f)
+        self.values = sorted({t for f in facts for t in f.args})
+        self.eid = {t: k for k, t in enumerate(self.values)}
+        self.sigs: dict[tuple, _Rows] = {}
+
+    def rows(self, relation, pattern) -> _Rows:
+        key = (relation, pattern)
+        if key not in self.sigs:
+            self.sigs[key] = _Rows(self.by_rel.get(relation, ()), pattern, self)
+        return self.sigs[key]
+
+
+class _Rows:
+    """The target facts fitting one signature, reduced to slot values.
+
+    A signature is a relation plus a pattern: per argument position,
+    either the anchored target value or the number of the variable slot
+    (slots numbered by first occurrence). `rows[r]` holds the value ids of
+    fact `facts[r]` per slot, `hits[j]` maps a value id to the rows
+    holding it in slot j, and `counts[j]` counts them.
     """
 
-    def __init__(self, atoms, base, tgt_atoms, pool, extra_vars=()):
-        self.ok = True
-        self.atoms = list(atoms)
-        self.base = dict(base)
-        self.pool = sorted(pool)
+    __slots__ = ("facts", "rows", "hits", "counts", "at")
 
-        rel_index: dict[str, list[Atom]] = {}
-        for f in tgt_atoms:
-            rel_index.setdefault(f.relation, []).append(f)
-
-        self.vars = sorted(
-            ({t for a in self.atoms for t in a.args} | set(extra_vars))
-            - set(self.base)
-        )
-        self.by_var: dict[Term, list[int]] = {v: [] for v in self.vars}
-        for i, a in enumerate(self.atoms):
-            for v in set(a.args):
-                if v in self.by_var:
-                    self.by_var[v].append(i)
-
-        # Per-atom supports: target atoms matching the anchored positions and
-        # the atom's internal repetition pattern.
-        self.supports: list[list[Atom]] = []
-        for a in self.atoms:
-            fits = []
-            for f in rel_index.get(a.relation, ()):
-                if self._fits(f, a, self.base):
-                    fits.append(f)
-            self.supports.append(fits)
-            if not fits:
-                self.ok = False
-
-        self.candidates: dict[Term, set[Term]] = {}
-        for v in self.vars:
-            occ = self.by_var[v]
-            if not occ:
-                self.candidates[v] = set(self.pool)
-                continue
-            cand: set[Term] | None = None
-            for i in occ:
-                a = self.atoms[i]
-                here = set()
-                for p, t in enumerate(a.args):
-                    if t == v:
-                        here.update(f.args[p] for f in self.supports[i])
-                cand = here if cand is None else cand & here
-            self.candidates[v] = cand or set()
-            if not self.candidates[v]:
-                self.ok = False
-
-        self.heap = None
-        if self.ok and not self._propagate(
-            range(len(self.atoms)), dict(self.base), None
-        ):
-            self.ok = False
-
-    @staticmethod
-    def _fits(fact, atom, assignment):
-        seen: dict[Term, Term] = {}
-        for p, t in enumerate(atom.args):
-            got = fact.args[p]
-            want = assignment.get(t)
-            if want is not None and got != want:
-                return False
-            if seen.setdefault(t, got) != got:
-                return False
-        return True
-
-    def _fits_full(self, fact, atom, assignment):
-        seen: dict[Term, Term] = {}
-        for p, t in enumerate(atom.args):
-            got = fact.args[p]
-            want = assignment.get(t)
-            if want is not None:
-                if got != want:
-                    return False
-            elif got not in self.candidates[t]:
-                return False
-            if seen.setdefault(t, got) != got:
-                return False
-        return True
-
-    def _assign(self, v, val, assignment, trail):
-        assignment[v] = val
-        return self._propagate(self.by_var[v], assignment, trail)
-
-    def _propagate(self, seed, assignment, trail):
-        """Refilter supports against candidate sets to a fixpoint.
-
-        A trail of None means the caller does not need the changes undone
-        (initial propagation); failure leaves state inconsistent then.
-        """
-        dirty = deque(seed)
-        queued = set(dirty)
-        while dirty:
-            i = dirty.popleft()
-            queued.discard(i)
-            a = self.atoms[i]
-            old = self.supports[i]
-            new = [f for f in old if self._fits_full(f, a, assignment)]
-            if len(new) != len(old):
-                if trail is not None:
-                    trail.append(("s", i, old))
-                self.supports[i] = new
-                if not new:
-                    return False
-            for v2 in set(a.args):
-                if v2 in assignment:
-                    continue
-                here = set()
-                for p, t in enumerate(a.args):
-                    if t == v2:
-                        here.update(f.args[p] for f in new)
-                narrowed = self.candidates[v2] & here
-                if narrowed != self.candidates[v2]:
-                    if trail is not None:
-                        trail.append(("c", v2, self.candidates[v2]))
-                    self.candidates[v2] = narrowed
-                    if self.heap is not None:
-                        heapq.heappush(self.heap, (len(narrowed), v2))
-                    if not narrowed:
-                        return False
-                    for j in self.by_var[v2]:
-                        if j != i and j not in queued:
-                            dirty.append(j)
-                            queued.add(j)
-        return True
-
-    def _undo(self, trail, mark, assignment, v):
-        while len(trail) > mark:
-            kind, key, old = trail.pop()
-            if kind == "s":
-                self.supports[key] = old
+    def __init__(self, facts, pattern, target):
+        anchored = [(p, t) for p, t in enumerate(pattern) if not isinstance(t, int)]
+        first: dict[int, int] = {}
+        repeats = []
+        for p, s in enumerate(pattern):
+            if isinstance(s, int):
+                if s in first:
+                    repeats.append((p, first[s]))
+                else:
+                    first[s] = p
+        if anchored or repeats:
+            facts = [
+                f
+                for f in facts
+                if all(f.args[p] == t for p, t in anchored)
+                and all(f.args[p] == f.args[q] for p, q in repeats)
+            ]
+        self.facts = facts
+        eid = target.eid
+        pos = tuple(first.values())
+        self.rows = rows = [tuple(eid[f.args[p]] for p in pos) for f in facts]
+        self.hits = [{} for _ in pos]
+        for r, row in enumerate(rows):
+            for hits, val in zip(self.hits, row):
+                if val in hits:
+                    hits[val].append(r)
+                else:
+                    hits[val] = [r]
+        self.counts = []
+        for hits in self.hits:
+            # a byte per value unless some value has more than 255 rows
+            if max(map(len, hits.values()), default=0) < 256:
+                cnt = bytearray(len(target.values))
             else:
-                self.candidates[key] = old
-                heapq.heappush(self.heap, (len(old), key))
-        assignment.pop(v, None)
+                cnt = [0] * len(target.values)
+            for val, rs in hits.items():
+                cnt[val] = len(rs)
+            self.counts.append(cnt)
+        self.at = None
 
-    def solutions(self):
-        """Yield every total assignment, in canonical order."""
+    def row_of(self, fact) -> int | None:
+        if self.at is None:
+            self.at = {f: r for r, f in enumerate(self.facts)}
+        return self.at.get(fact)
+
+
+class _Search:
+    """Backtracking over one set of source atoms into indexed target facts.
+
+    `base` holds pre-assigned terms (anchors); every other source term
+    becomes a search variable. Per atom i the state is a live-row bitmap
+    `alive[i]` and one count array per slot, `counts[i][j]`; per variable
+    v a flag per value id, `dom[v]`, and their number, `size[v]`. Trail
+    entries are `r << abits | i` for a killed row r of atom i and
+    `~(d << vbits | v)` for value d removed from variable v.
+    """
+
+    def __init__(self, atoms, base, target: _Target):
+        self.base = dict(base)
+        self.values = target.values
+        self.vars = sorted({t for a in atoms for t in a.args} - set(self.base))
+        vid = {v: k for k, v in enumerate(self.vars)}
+        self.abits = max(1, len(atoms).bit_length())
+        self.vbits = max(1, len(self.vars).bit_length())
+        self.trail = None  # the initial fixpoint is not undone, so not trailed
+
+        self.sig: list[_Rows] = []
+        self.slots: list[tuple[int, ...]] = []
+        self.by_rel: dict[str, list[int]] = {}
+        for i, a in enumerate(atoms):
+            slots: list[int] = []
+            pattern = []
+            for t in a.args:
+                if t in self.base:
+                    pattern.append(self.base[t])
+                else:
+                    if vid[t] not in slots:
+                        slots.append(vid[t])
+                    pattern.append(slots.index(vid[t]))
+            self.sig.append(target.rows(a.relation, tuple(pattern)))
+            self.slots.append(tuple(slots))
+            self.by_rel.setdefault(a.relation, []).append(i)
+
+        self.ok = all(s.rows for s in self.sig)
         if not self.ok:
             return
-        assignment: dict[Term, Term] = dict(self.base)
-        if not self.vars:
-            yield dict(assignment)
+        self.alive = [bytearray(b"\x01") * len(s.rows) for s in self.sig]
+        self.counts = [[c[:] for c in s.counts] for s in self.sig]
+        # occ[v]: (atom, slot) pairs where variable v occurs
+        self.occ: list[list[tuple[int, int]]] = [[] for _ in self.vars]
+        for i, slots in enumerate(self.slots):
+            for j, v in enumerate(slots):
+                self.occ[v].append((i, j))
+        self.dom: list[bytearray] = []
+        self.size: list[int] = []
+        queue: deque[int] = deque()
+        for v, occ in enumerate(self.occ):
+            keys = [self.sig[i].hits[j].keys() for i, j in occ]
+            inter = set(keys[0]).intersection(*keys[1:])
+            flags = bytearray(len(self.values))
+            for d in inter:
+                flags[d] = 1
+            self.dom.append(flags)
+            self.size.append(len(inter))
+            for d in set(keys[0]).union(*keys[1:]) - inter:
+                queue += (v, d)
+        self.ok = all(self.size) and self._propagate(queue, None)
+        self.trail = []
+
+    def _kill(self, i, rs, queue, changed) -> bool:
+        """Kill the live rows `rs` of atom i, queueing every value whose
+        last support in atom i goes. False if a domain or atom empties."""
+        alive, counts, slots = self.alive[i], self.counts[i], self.slots[i]
+        rows, dom, size, trail = self.sig[i].rows, self.dom, self.size, self.trail
+        for r in rs:
+            if not alive[r]:
+                continue
+            if not slots:
+                return False  # a fully anchored atom has one row only
+            alive[r] = 0
+            if trail is not None:
+                trail.append(r << self.abits | i)
+            for v, cnt, val in zip(slots, counts, rows[r]):
+                c = cnt[val] - 1
+                cnt[val] = c
+                if not c and dom[v][val]:
+                    dom[v][val] = 0
+                    size[v] -= 1
+                    if trail is not None:
+                        trail.append(~(val << self.vbits | v))
+                    if not size[v]:
+                        return False
+                    queue += (v, val)
+                    if changed is not None:
+                        changed.add(v)
+        return True
+
+    def _propagate(self, queue, changed) -> bool:
+        """Process removed (var, value) pairs, oldest first, to the
+        arc-consistent fixpoint. Oldest first finds a wipe-out in far
+        fewer steps than newest first on the drops core() makes."""
+        occ, sig, pop = self.occ, self.sig, queue.popleft
+        while queue:
+            v = pop()
+            d = pop()
+            for i, j in occ[v]:
+                rs = sig[i].hits[j].get(d)
+                if rs and not self._kill(i, rs, queue, changed):
+                    return False
+        return True
+
+    def _assign(self, v, val, changed) -> bool:
+        dv = self.dom[v]
+        queue: deque[int] = deque()
+        for d in itertools.compress(range(len(dv)), dv):
+            if d != val:
+                dv[d] = 0
+                queue += (v, d)
+                self.trail.append(~(d << self.vbits | v))
+        self.size[v] = 1
+        return self._propagate(queue, changed)
+
+    def drop(self, fact) -> bool:
+        """Remove one target fact and propagate; False on a wipe-out.
+
+        Undo with `undo(mark)`, taking the mark from `len(self.trail)`.
+        """
+        queue: deque[int] = deque()
+        for i in self.by_rel.get(fact.relation, ()):
+            r = self.sig[i].row_of(fact)
+            if r is not None and not self._kill(i, (r,), queue, None):
+                return False
+        return self._propagate(queue, None)
+
+    def undo(self, mark) -> set[int]:
+        """Pop the trail back to `mark`; returns the variables restored."""
+        trail, dom, size = self.trail, self.dom, self.size
+        amask, vmask = (1 << self.abits) - 1, (1 << self.vbits) - 1
+        restored = set()
+        while len(trail) > mark:
+            e = trail.pop()
+            if e < 0:
+                e = ~e
+                v = e & vmask
+                dom[v][e >> self.vbits] = 1
+                size[v] += 1
+                restored.add(v)
+            else:
+                i = e & amask
+                r = e >> self.abits
+                self.alive[i][r] = 1
+                for cnt, val in zip(self.counts[i], self.sig[i].rows[r]):
+                    cnt[val] += 1
+        return restored
+
+    def solutions(self):
+        """Yield every total assignment, in canonical order.
+
+        Exhausting the generator restores the state; a caller that stops
+        early undoes to a mark taken before (see core)."""
+        if not self.ok:
             return
-        trail: list = []
-        # frames: (var, remaining values in reverse order, trail mark)
-        frames: list[tuple[Term, list[Term], int]] = []
+        if not self.vars:
+            yield dict(self.base)
+            return
+        dom, size, trail = self.dom, self.size, self.trail
+        n = len(self.vars)
+        ids = range(len(self.values))
+        assigned = bytearray(n)
+        chosen = [0] * n
         # most-constrained-first via a lazy heap: entries are (count, var)
-        # pushed on every candidate-set change, skipped when out of date
-        self.heap = [(len(self.candidates[v]), v) for v in self.vars]
-        heapq.heapify(self.heap)
+        # pushed on every domain change, skipped when out of date
+        heap = [(c, v) for v, c in enumerate(size)]
+        heapq.heapify(heap)
+        # frames: (var, remaining values in reverse order, trail mark)
+        frames: list[tuple[int, list[int], int]] = []
 
         def open_frame():
             while True:
-                if not self.heap:
-                    self.heap.extend(
-                        (len(self.candidates[u]), u)
-                        for u in self.vars
-                        if u not in assignment
-                    )
-                    heapq.heapify(self.heap)
-                cnt, v = heapq.heappop(self.heap)
-                if v not in assignment and cnt == len(self.candidates[v]):
+                cnt, v = heapq.heappop(heap)
+                if not assigned[v] and cnt == size[v]:
                     break
-            frames.append((v, sorted(self.candidates[v], reverse=True), len(trail)))
+            vals = list(itertools.compress(ids, dom[v]))
+            vals.reverse()
+            frames.append((v, vals, len(trail)))
 
         open_frame()
         while frames:
             v, vals, mark = frames[-1]
-            self._undo(trail, mark, assignment, v)  # clear the previous attempt
+            for u in self.undo(mark):  # clear the previous attempt
+                heapq.heappush(heap, (size[u], u))
+            assigned[v] = 0
             if not vals:
                 frames.pop()
-                heapq.heappush(self.heap, (len(self.candidates[v]), v))
+                heapq.heappush(heap, (size[v], v))
                 continue
-            if not self._assign(v, vals.pop(), assignment, trail):
+            chosen[v] = val = vals.pop()
+            assigned[v] = 1
+            changed: set[int] = set()
+            if not self._assign(v, val, changed):
                 continue
-            if len(assignment) - len(self.base) == len(self.vars):
-                yield dict(assignment)
+            for u in changed:
+                heapq.heappush(heap, (size[u], u))
+            if len(frames) == n:
+                sol = dict(self.base)
+                for u, _, _ in frames:
+                    sol[self.vars[u]] = self.values[chosen[u]]
+                yield sol
                 continue
             open_frame()
 
@@ -259,32 +375,29 @@ def find_hom(source, src_tuple, target, tgt_tuple) -> Hom | None:
     Disconnected parts of the source are solved independently, and parts
     that are renamings of one another are solved once.
     """
+    check_schemas_agree(source, target)
     base = _anchor_map(src_tuple, tgt_tuple)
     if base is None:
         return None
-    src_atoms = _atoms_of(source)
-    tgt_atoms = _atoms_of(target)
-    pool = sorted(_elements_of(target) | set(tgt_tuple))
+    tgt = _Target(_atoms_of(target))
 
     mapping: dict[Term, Term] = dict(base)
-    solved: dict[tuple, dict] = {}
-    for comp_atoms, order in _split_components(src_atoms, base):
+    solved: dict[tuple, list] = {}
+    for comp_atoms, order in _split_components(_atoms_of(source), base):
         key = _component_key(comp_atoms, order, base)
-        hit = solved.get(key)
-        if hit is not None:
-            mapping.update({v: hit[i] for i, v in enumerate(order)})
-            continue
-        search = _Search(comp_atoms, base, tgt_atoms, pool)
-        sol = next(search.solutions(), None)
-        if sol is None:
-            return None
-        solved[key] = [sol[v] for v in order]
-        mapping.update(sol)
+        if key not in solved:
+            sol = next(_Search(comp_atoms, base, tgt).solutions(), None)
+            if sol is None:
+                return None
+            solved[key] = [sol[v] for v in order]
+        mapping.update(zip(order, solved[key]))
 
-    for v in _elements_of(source) - set(mapping):
+    rest = _elements_of(source) - set(mapping)
+    if rest:
+        pool = _elements_of(target) | set(tgt_tuple)
         if not pool:
             return None
-        mapping[v] = pool[0]
+        mapping.update(dict.fromkeys(rest, min(pool)))
     return Hom(mapping, source, target)
 
 
@@ -344,6 +457,7 @@ def _component_key(comp_atoms, order, base):
 
 def evaluate(q: ConjunctiveQuery, db: Database) -> set:
     """q(D): every tuple ā with a homomorphism (D_q, x̄) → (D, ā)."""
+    check_schemas_agree(q, db)
     if q.is_boolean:
         return {()} if find_hom(q, (), db, ()) is not None else set()
     adom = sorted(db.adom)
@@ -363,21 +477,12 @@ def evaluate(q: ConjunctiveQuery, db: Database) -> set:
         cands.append(sorted(cand))
 
     answers = set()
-    for combo in _product(cands):
+    for combo in itertools.product(*cands):
         assign = dict(zip(distinct, combo))
         tgt = tuple(assign[v] for v in q.free_vars)
         if find_hom(q, q.free_vars, db, tgt) is not None:
             answers.add(tgt)
     return answers
-
-
-def _product(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product(pools[1:]):
-            yield (head,) + rest
 
 
 def contains(q: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
@@ -396,32 +501,59 @@ def equivalent(q: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
 def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     """The core of q: a minimal retract, fixing free variables pointwise.
 
-    Strategy: find the first atom (canonical order) whose removal leaves a
-    query q still maps into, then jump straight to the image of that
-    homomorphism and repeat. A fixpoint admits no proper retraction at all
-    (a retraction would miss some atom, making that atom removable), so
-    the fixpoint is the core.
+    Scan the atoms in canonical order for the first one whose removal
+    leaves a query q still maps into, jump straight to the image of that
+    homomorphism, and scan again, skipping atoms already shown
+    non-removable. A fixpoint admits no proper retraction at all (a
+    retraction would miss some atom, making that atom removable), so the
+    fixpoint is the core. The homomorphism for an atom is the one
+    find_hom(current, free, current − atom, free) returns.
     """
+    base = {v: v for v in q.free_vars}
     current = q
-    shrinking = True
-    while shrinking:
-        shrinking = False
+    fixed: set[Atom] = set()
+    while True:
+        comps = list(_split_components(current.atoms, base))
+        keys = [_component_key(atoms, order, base) for atoms, order in comps]
+        tgt = _Target(current.atoms)
+        states = {}
+        for (atoms, order), key in zip(comps, keys):
+            if key not in states:
+                states[key] = (_Search(atoms, base, tgt), order)
         for a in current.atoms:
-            smaller = current.without_atom(a)
-            h = find_hom(current, current.free_vars, smaller, smaller.free_vars)
-            if h is None:
+            if a in fixed:
                 continue
-            image = {
-                Atom(at.relation, h.tuple_image(at.args)) for at in current.atoms
-            }
+            solved = _solve_without(states, a)
+            if solved is None:
+                fixed.add(a)
+                continue
+            h = dict(base)
+            for (_, order), key in zip(comps, keys):
+                h.update(zip(order, solved[key]))
+            image = [Atom(b.relation, tuple(map(h.get, b.args))) for b in current.atoms]
             current = ConjunctiveQuery(current.free_vars, tuple(image), q.name)
-            shrinking = True
             break
-    return current
+        else:
+            return current
+
+
+def _solve_without(states, fact):
+    """Per component key, the first solution's values (in the order of
+    the key's first component) with `fact` dropped from the target, or
+    None if some component has none. Every state is left as it was."""
+    solved = {}
+    for key, (search, order) in states.items():
+        mark = len(search.trail)
+        sol = next(search.solutions(), None) if search.drop(fact) else None
+        search.undo(mark)
+        if sol is None:
+            return None
+        solved[key] = [sol[v] for v in order]
+    return solved
 
 
 def endomorphisms(q: ConjunctiveQuery) -> list[Hom]:
     """All homomorphisms from q to itself fixing the free variables."""
     base = {v: v for v in q.free_vars}
-    search = _Search(q.atoms, base, q.atoms, sorted(q.variables))
+    search = _Search(q.atoms, base, _Target(q.atoms))
     return [Hom(sol, q, q) for sol in search.solutions()]

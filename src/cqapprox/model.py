@@ -74,13 +74,25 @@ class Atom:
         return frozenset(self.args)
 
 
-def _check_arities(atoms, where: str):
+def _check_arities(atoms, where: str) -> dict[str, int]:
     arities: dict[str, int] = {}
     for a in atoms:
         seen = arities.setdefault(a.relation, len(a.args))
         if seen != len(a.args):
             raise ArityError(
                 f"relation {a.relation} used with arities {seen} and {len(a.args)} in {where}"
+            )
+    return arities
+
+
+def check_schemas_agree(source, target) -> None:
+    """Raise ArityError if source and target (queries or databases) use
+    some relation with different arities."""
+    for rel, n in source.arities.items():
+        m = target.arities.get(rel, n)
+        if m != n:
+            raise ArityError(
+                f"relation {rel} has arity {n} in the source but {m} in the target"
             )
 
 
@@ -94,6 +106,8 @@ class ConjunctiveQuery:
     free_vars: tuple[Term, ...]
     atoms: tuple[Atom, ...]
     name: str = "q"
+    # relation -> arity, built by the arity check at construction
+    arities: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         atoms = tuple(sorted(set(self.atoms)))
@@ -105,7 +119,7 @@ class ConjunctiveQuery:
         for t in self.free_vars:
             if t.kind != VARIABLE:
                 raise CqError(f"constant {t.name} in query head")
-        _check_arities(atoms, f"query {self.name}")
+        object.__setattr__(self, "arities", _check_arities(atoms, f"query {self.name}"))
 
     @property
     def variables(self) -> frozenset[Term]:
@@ -134,6 +148,8 @@ class ConjunctiveQuery:
 @dataclass(frozen=True)
 class Database:
     facts: tuple[Atom, ...]
+    # relation -> arity, built by the arity check at construction
+    arities: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         facts = tuple(sorted(set(self.facts)))
@@ -142,7 +158,7 @@ class Database:
             for t in a.args:
                 if t.kind != CONSTANT:
                     raise CqError(f"variable {t.name} in database fact {a}")
-        _check_arities(facts, "database")
+        object.__setattr__(self, "arities", _check_arities(facts, "database"))
 
     @property
     def adom(self) -> frozenset[Term]:
@@ -311,7 +327,28 @@ def parse_database(text: str) -> Database:
     try:
         return Database(tuple(facts))
     except ArityError as e:
-        raise ParseError(str(e), 1, 1) from e
+        raise ParseError(*_first_arity_clash(ts)) from e
+
+
+def _first_arity_clash(ts: _Tokens) -> tuple[str, int, int]:
+    """The first fact, in file order, whose arity differs from an earlier
+    fact of its relation: the message and its position. Called only
+    after Database found a clash, so the facts are read a second time
+    only then."""
+    ts.i = 0
+    arities: dict[str, int] = {}
+    while True:
+        line, col = ts.pos()
+        fact = _parse_atom(ts, _make_const)
+        ts.take(".")
+        seen = arities.setdefault(fact.relation, len(fact.args))
+        if seen != len(fact.args):
+            return (
+                f"relation {fact.relation} used with arities {seen} and "
+                f"{len(fact.args)} in database",
+                line,
+                col,
+            )
 
 
 def parse_tuple(text: str) -> tuple[Term, ...]:

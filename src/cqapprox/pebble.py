@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from cqapprox.model import Atom, ConjunctiveQuery, CqError, Term, Var
+from cqapprox.model import check_schemas_agree
 from cqapprox.hom import _anchor_map, _atoms_of
 from cqapprox.width import TreeDecomposition
 
@@ -75,6 +76,7 @@ class _Game:
     """
 
     def __init__(self, src, src_tuple, tgt, tgt_tuple, k):
+        check_schemas_agree(src, tgt)
         self.base = _anchor_map(src_tuple, tgt_tuple)
         src_atoms = _atoms_of(src)
         self.tgt_set = set(_atoms_of(tgt))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cqapprox import cli
 from cqapprox.cli import main
 from cqapprox.hom import equivalent, evaluate
 from cqapprox.model import parse_database, parse_query
@@ -134,6 +135,26 @@ def test_missing_file_is_exit_3(capsys, files):
 def test_malformed_query_is_exit_3(capsys, files):
     code, _, err = run(capsys, "core", "--query", files["c2_db"])
     assert code == 3 and err.startswith("cqapprox: error:")
+
+
+def test_arity_mismatch_is_exit_3_without_traceback(capsys, files, tmp_path):
+    db = tmp_path / "short.facts"
+    db.write_text("R(a).")
+    code, report, err = run_json(
+        capsys, "eval-over", "--query", files["r1"], "--db", str(db)
+    )
+    assert code == 3 and report["verdict"] == "error"
+    assert err.startswith("cqapprox: error:") and "Traceback" not in err
+
+
+def test_internal_failure_is_exit_3(capsys, files, monkeypatch):
+    def broken(q):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "core", broken)
+    code, report, err = run_json(capsys, "core", "--query", files["c2"])
+    assert code == 3 and report["verdict"] == "error"
+    assert err == "cqapprox: error: KeyError: 'boom'\n"
 
 
 # --- individual commands ------------------------------------------------------

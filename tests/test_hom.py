@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from cqapprox import hom
+from cqapprox.gen import gen_qn_prime
 from cqapprox.hom import (
     contains,
     core,
@@ -74,6 +76,19 @@ def test_find_hom_fig1():
 def test_find_hom_anchor_arity():
     with pytest.raises(ArityError):
         find_hom(path2, (Var("x"),), triangle_db, ())
+
+
+def test_relation_arity_mismatch_raises():
+    q = parse_query("q() :- R(x,y).")
+    longer = Database((Atom("R", (Const("a"), Const("b"), Const("c"))),))
+    shorter = Database((Atom("R", (Const("a"),)),))
+    for db in (longer, shorter):
+        with pytest.raises(ArityError):
+            find_hom(q, (), db, ())
+        with pytest.raises(ArityError):
+            evaluate(parse_query("q(x) :- R(x,y)."), db)
+    with pytest.raises(ArityError):
+        contains(q, parse_query("q() :- R(x,y,z)."))
 
 
 def test_find_hom_inconsistent_anchors():
@@ -193,6 +208,36 @@ def test_equivalent_matches_oracle():
         q1 = rand_cq(rng)
         q2 = rand_cq(rng)
         assert equivalent(q1, q2) == oracle_equivalent(q1, q2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_core_tests_each_atom_of_a_core_once(n, monkeypatch):
+    q = gen_qn_prime(n)
+    drops = []
+    real_drop = hom._Search.drop
+
+    def counting_drop(self, fact):
+        drops.append(fact)
+        return real_drop(self, fact)
+
+    monkeypatch.setattr(hom._Search, "drop", counting_drop)
+    assert core(q) == q
+    assert sorted(drops) == list(q.atoms)
+
+
+def test_core_skips_atoms_shown_non_removable(monkeypatch):
+    # E(a,b) and E(b,a) are tested first and stay; the path folds onto them
+    q = parse_query("q() :- E(a,b), E(b,a), E(b,c), E(c,d).")
+    drops = []
+    real_drop = hom._Search.drop
+
+    def counting_drop(self, fact):
+        drops.append(fact)
+        return real_drop(self, fact)
+
+    monkeypatch.setattr(hom._Search, "drop", counting_drop)
+    assert core(q) == parse_query("q() :- E(a,b), E(b,a).")
+    assert len(drops) == len(set(drops)) == 3
 
 
 def test_endomorphism_counts():

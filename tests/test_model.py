@@ -57,6 +57,13 @@ def test_parse_reports_line_and_column():
     assert "line 2" in str(e.value)
 
 
+def test_parse_database_arity_clash_reports_offending_fact():
+    text = "R(a,b).\n# note\nS(a).\n  R(a,b,c).\nR(a).\n"
+    with pytest.raises(ParseError, match="arities 2 and 3") as e:
+        parse_database(text)
+    assert (e.value.line, e.value.col) == (4, 3)
+
+
 def test_parse_comments_and_whitespace():
     text = """
     # a triangle

@@ -6,7 +6,15 @@ import random
 import pytest
 
 from cqapprox import hom, pebble, width
-from cqapprox.model import Atom, ConjunctiveQuery, CqError, Database, Var, parse_query
+from cqapprox.model import (
+    Atom,
+    ConjunctiveQuery,
+    Const,
+    CqError,
+    Database,
+    Var,
+    parse_query,
+)
 from cqapprox.hom import ArityError, find_hom
 
 from _oracles import (
@@ -138,6 +146,19 @@ def test_anchor_arity_mismatch_raises():
         pebble.wins_cover_game(q, q.free_vars, triangle_db, (), 1)
     with pytest.raises(ArityError):
         pebble.wins_bounded(q, q.free_vars, triangle_db, (), 1, 2)
+
+
+def test_relation_arity_mismatch_raises():
+    q = parse_query("q() :- R(x,y).")
+    longer = Database((Atom("R", (Const("a"), Const("b"), Const("c"))),))
+    shorter = Database((Atom("R", (Const("a"),)),))
+    for tgt in (longer, shorter, parse_query("q() :- R(x).")):
+        with pytest.raises(ArityError):
+            pebble.wins_cover_game(q, (), tgt, (), 1)
+        with pytest.raises(ArityError):
+            pebble.wins_bounded(q, (), tgt, (), 1, 2)
+    with pytest.raises(ArityError):
+        pebble.constrained_wins_1(q, set(), parse_query("q() :- R(x)."), set())
 
 
 def test_broken_anchor_map_is_immediate_loss():
