@@ -228,7 +228,10 @@ class _Search:
 
     def _kill(self, i, rs, queue, changed) -> bool:
         """Kill the live rows `rs` of atom i, queueing every value whose
-        last support in atom i goes. False if a domain or atom empties."""
+        last support in atom i goes. False if a domain or atom empties.
+
+        A killed row is always finished, every slot count lowered, before
+        returning: undo() restores whole rows."""
         alive, counts, slots = self.alive[i], self.counts[i], self.slots[i]
         rows, dom, size, trail = self.sig[i].rows, self.dom, self.size, self.trail
         for r in rs:
@@ -239,6 +242,7 @@ class _Search:
             alive[r] = 0
             if trail is not None:
                 trail.append(r << self.abits | i)
+            wiped = False
             for v, cnt, val in zip(slots, counts, rows[r]):
                 c = cnt[val] - 1
                 cnt[val] = c
@@ -248,10 +252,13 @@ class _Search:
                     if trail is not None:
                         trail.append(~(val << self.vbits | v))
                     if not size[v]:
-                        return False
+                        wiped = True
+                        continue
                     queue += (v, val)
                     if changed is not None:
                         changed.add(v)
+            if wiped:
+                return False
         return True
 
     def _propagate(self, queue, changed) -> bool:

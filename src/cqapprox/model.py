@@ -74,6 +74,11 @@ class Atom:
         return frozenset(self.args)
 
 
+# relation -> arity maps, one per distinct schema: every query and database
+# keeps its map for life, and nearly all of them share a few schemas
+_SCHEMAS: dict[frozenset, dict[str, int]] = {}
+
+
 def _check_arities(atoms, where: str) -> dict[str, int]:
     arities: dict[str, int] = {}
     for a in atoms:
@@ -82,7 +87,7 @@ def _check_arities(atoms, where: str) -> dict[str, int]:
             raise ArityError(
                 f"relation {a.relation} used with arities {seen} and {len(a.args)} in {where}"
             )
-    return arities
+    return _SCHEMAS.setdefault(frozenset(arities.items()), arities)
 
 
 def check_schemas_agree(source, target) -> None:
@@ -106,7 +111,7 @@ class ConjunctiveQuery:
     free_vars: tuple[Term, ...]
     atoms: tuple[Atom, ...]
     name: str = "q"
-    # relation -> arity, built by the arity check at construction
+    # relation -> arity from the construction check; shared, never mutated
     arities: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -148,7 +153,7 @@ class ConjunctiveQuery:
 @dataclass(frozen=True)
 class Database:
     facts: tuple[Atom, ...]
-    # relation -> arity, built by the arity check at construction
+    # relation -> arity from the construction check; shared, never mutated
     arities: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -240,6 +240,87 @@ def test_core_skips_atoms_shown_non_removable(monkeypatch):
     assert len(drops) == len(set(drops)) == 3
 
 
+def _search_state(search):
+    return (
+        [bytes(a) for a in search.alive],
+        [[list(c) for c in cs] for cs in search.counts],
+        [bytes(d) for d in search.dom],
+        list(search.size),
+    )
+
+
+def _domains(search):
+    return [
+        {search.values[d] for d, on in enumerate(flags) if on} for flags in search.dom
+    ]
+
+
+def _drop_cases():
+    rng = random.Random(11)
+    yield from (gen_qn_prime(n) for n in (2, 3))
+    yield fig1_q
+    yield parse_query("q(x) :- E(x,y), E(y,z), E(z,x), E(x,w), F(w,y,z).")
+    for _ in range(40):
+        yield rand_cq(rng, max_atoms=7, max_vars=5, n_free=rng.randint(0, 1))
+
+
+def test_search_drop_matches_fresh_search_and_undo_restores():
+    # dropping a fact reaches the same arc-consistent state a fresh search
+    # into the smaller target starts from, and undo restores every count,
+    # also after a wipe-out part-way through a row
+    for q in _drop_cases():
+        base = {v: v for v in q.free_vars}
+        search = hom._Search(q.atoms, base, hom._Target(q.atoms))
+        assert search.ok
+        before = _search_state(search)
+        for fact in q.atoms:
+            mark = len(search.trail)
+            dropped = search.drop(fact)
+            rest = [a for a in q.atoms if a != fact]
+            fresh = hom._Search(q.atoms, base, hom._Target(rest))
+            assert dropped == fresh.ok, (q, fact)
+            if dropped:
+                assert _domains(search) == _domains(fresh), (q, fact)
+            search.undo(mark)
+            assert _search_state(search) == before, (q, fact)
+        assert len(list(search.solutions())) >= 1
+        assert _search_state(search) == before, q
+
+
+def test_search_counts_a_value_with_more_than_255_rows():
+    # the hub c has 300 out-edges, more than a byte count holds
+    hub = Const("c")
+    leaves = [Const(f"n{i:03}") for i in range(300)]
+    edges = [(hub, n) for n in leaves] + [(n, hub) for n in leaves[:2]]
+    db = Database(tuple(Atom("E", e) for e in edges))
+    q = parse_query("q() :- E(x,y), E(y,z), E(z,w).")
+    walks = [
+        (a, b, c, d)
+        for a, b in edges
+        for b2, c in edges
+        if b2 == b
+        for c2, d in edges
+        if c2 == c
+    ]
+    assert len(walks) == 604
+    search = hom._Search(q.atoms, {}, hom._Target(db.facts))
+    assert any(isinstance(c, list) for cs in search.counts for c in cs)
+    before = _search_state(search)
+    x, y, z, w = (Var(v) for v in "xyzw")
+    found = [(s[x], s[y], s[z], s[w]) for s in search.solutions()]
+    assert sorted(found) == sorted(walks) and len(found) == len(walks)
+    assert _search_state(search) == before
+    for fact in db.facts[:3] + db.facts[-3:]:
+        mark = len(search.trail)
+        dropped = search.drop(fact)
+        fresh = hom._Search(q.atoms, {}, hom._Target(set(db.facts) - {fact}))
+        assert dropped == fresh.ok
+        if dropped:
+            assert _domains(search) == _domains(fresh)
+        search.undo(mark)
+        assert _search_state(search) == before
+
+
 def test_endomorphism_counts():
     assert len(endomorphisms(parse_query("q() :- E(x,y)."))) == 1
     assert len(endomorphisms(c2)) == 2
