@@ -383,11 +383,14 @@ def find_hom(source, src_tuple, target, tgt_tuple) -> Hom | None:
     that are renamings of one another are solved once.
     """
     check_schemas_agree(source, target)
+    return _find_hom(source, src_tuple, target, tgt_tuple, _Target(_atoms_of(target)))
+
+
+def _find_hom(source, src_tuple, target, tgt_tuple, tgt: _Target) -> Hom | None:
+    """find_hom into `target`, prepared as `tgt`, after its schema check."""
     base = _anchor_map(src_tuple, tgt_tuple)
     if base is None:
         return None
-    tgt = _Target(_atoms_of(target))
-
     mapping: dict[Term, Term] = dict(base)
     solved: dict[tuple, list] = {}
     for comp_atoms, order in _split_components(_atoms_of(source), base):
@@ -483,11 +486,12 @@ def evaluate(q: ConjunctiveQuery, db: Database) -> set:
             cand = here if cand is None else cand & here
         cands.append(sorted(cand))
 
+    index = _Target(db.facts)
     answers = set()
     for combo in itertools.product(*cands):
         assign = dict(zip(distinct, combo))
         tgt = tuple(assign[v] for v in q.free_vars)
-        if find_hom(q, q.free_vars, db, tgt) is not None:
+        if _find_hom(q, q.free_vars, db, tgt, index) is not None:
             answers.add(tgt)
     return answers
 

@@ -7,6 +7,15 @@ agrees with her previous answer on the overlap. wins_cover_game solves
 the unbounded game as a greatest fixpoint; wins_bounded iterates levels
 for the c-round variant; unroll builds the finite CQ q_c whose
 homomorphisms into D are exactly the c-round Duplicator wins.
+
+All three solvers, constrained_wins_1 included, run one loop,
+`_Game.run`, over one state. Answers are id tuples over target elements
+interned in canonical `Term` order. Unions are linked only when they
+share an unanchored variable (the overlap graph); any other pair only
+asks for a non-empty partner. Each barrier round after the first
+re-checks a union only against neighbours that lost answers in the
+round before (the frontier), which keeps every round equal to one level
+of the bounded game.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 from cqapprox.model import Atom, ConjunctiveQuery, CqError, Term, Var
 from cqapprox.model import check_schemas_agree
@@ -59,132 +69,172 @@ def k_unions(src, k: int) -> list[KUnion]:
     return [KUnion(s, found[s]) for s in ordered]
 
 
-def _base_respects_atoms(base, src_atoms, tgt_set) -> bool:
-    for a in src_atoms:
-        if all(t in base for t in a.args):
-            if Atom(a.relation, tuple(base[t] for t in a.args)) not in tgt_set:
-                return False
-    return True
+def _node_atoms(atoms, unions, anchors) -> list[list[Atom]]:
+    """Per k-union, the atoms inside it plus the anchors: those that a
+    Duplicator answer on the union must respect."""
+    # frozensets keep their elements' hashes, so `<=` rehashes no Term
+    free = [(a, frozenset(a.args).difference(anchors)) for a in atoms]
+    return [[a for a, need in free if need <= u.vars] for u in unions]
 
 
 class _Game:
-    """Shared setup for the fixpoint and level solvers.
+    """Shared state of the three game solvers, all driven by `run()`.
 
-    Per k-union, members are stored as value tuples aligned with the
-    union's sorted variable list; anchors are implicit (identical in
-    every member).
+    Target elements are interned to ids in canonical `Term` order, and
+    the target's facts are kept as a set of id rows per relation.
+    `members[i]` holds union i's surviving partial homs as sorted id
+    tuples aligned with its sorted variable list `vlists[i]` (anchors
+    included, the same in every member); since id order is `Term` order,
+    `family()` decodes them into exactly the dicts, in exactly the
+    order, that a solver over `Term` values would keep.
+
+    `pairs[i]` is union i's row in the overlap graph: one `(j, pi, pj)`
+    per union j sharing an unanchored variable with i, `pi` and `pj`
+    giving the shared variables' positions in each union. A union j
+    sharing no such variable only has to be non-empty, which `run()`
+    checks with `all_nonempty()` before each round.
     """
 
     def __init__(self, src, src_tuple, tgt, tgt_tuple, k):
         check_schemas_agree(src, tgt)
         self.base = _anchor_map(src_tuple, tgt_tuple)
+        self.anchors_ok = False
+        self.unions: list[KUnion] = []
+        if self.base is None:
+            return
+        facts = _atoms_of(tgt)
+        elements = {t for f in facts for t in f.args} | set(self.base.values())
+        self.values = sorted(elements, key=lambda t: (t.kind, t.name))
+        self.eid = eid = {t: n for n, t in enumerate(self.values)}
+        self.rows: dict[str, set[tuple]] = {}
+        for f in facts:
+            self.rows.setdefault(f.relation, set()).add(tuple(map(eid.__getitem__, f.args)))
+        self.bid = {s: eid[t] for s, t in self.base.items()}
         src_atoms = _atoms_of(src)
-        self.tgt_set = set(_atoms_of(tgt))
-        self.anchors_ok = self.base is not None and _base_respects_atoms(
-            self.base, src_atoms, self.tgt_set
+        self.anchors_ok = all(
+            tuple(map(self.bid.__getitem__, a.args)) in self.rows.get(a.relation, ())
+            for a in src_atoms
+            if all(t in self.bid for t in a.args)
         )
-        self.unions = k_unions(src, k) if self.anchors_ok else []
         if not self.anchors_ok:
             return
-
-        self.tgt_index: dict[str, list[Atom]] = {}
-        for f in sorted(self.tgt_set):
-            self.tgt_index.setdefault(f.relation, []).append(f)
-
-        base_dom = set(self.base)
+        self.unions = k_unions(src, k)
         self.vlists = [sorted(u.vars) for u in self.unions]
-        self.members: list[list[tuple]] = []
-        for u, vlist in zip(self.unions, self.vlists):
-            dom = u.vars | base_dom
-            contained = [a for a in src_atoms if set(a.args) <= dom]
-            self.members.append(
-                self._enumerate(u, vlist, contained)
+        self.members = [
+            self._enumerate(u, vlist, contained)
+            for u, vlist, contained in zip(
+                self.unions, self.vlists, _node_atoms(src_atoms, self.unions, self.bid)
             )
+        ]
 
-        # overlap projections for every ordered union pair
+        by_var: dict[Term, list[int]] = {}
+        for i, vlist in enumerate(self.vlists):
+            for v in vlist:
+                if v not in self.bid:
+                    by_var.setdefault(v, []).append(i)
+        pos = [{v: p for p, v in enumerate(vlist)} for vlist in self.vlists]
         self.pairs: list[list[tuple[int, tuple, tuple]]] = []
-        pos = [{v: p for p, v in enumerate(vl)} for vl in self.vlists]
-        for i, u in enumerate(self.unions):
+        for i, vlist in enumerate(self.vlists):
             row = []
-            for j, u2 in enumerate(self.unions):
-                if i == j:
-                    continue
-                shared = sorted(u.vars & u2.vars)
+            for j in sorted({j for v in vlist for j in by_var.get(v, ())} - {i}):
+                shared = [v for v in vlist if v in pos[j] and v not in self.bid]
                 row.append(
-                    (
-                        j,
-                        tuple(pos[i][v] for v in shared),
-                        tuple(pos[j][v] for v in shared),
-                    )
+                    (j, tuple(pos[i][v] for v in shared), tuple(pos[j][v] for v in shared))
                 )
             self.pairs.append(row)
+        # unions that lost members in the last round; every union at first
+        self.lost = set(range(len(self.unions)))
+        self.rechecked: list[int] = []  # per round, the unions it re-checked
 
     def _enumerate(self, u: KUnion, vlist, contained) -> list[tuple]:
-        """All valid partial homs on u.vars ∪ anchors, as value tuples.
+        """All valid partial homs on u.vars ∪ anchors, as sorted id tuples.
 
         Assignments come from matching the witness atoms against the
-        target index (the witness covers every union variable), then the
+        target rows (the witness covers every union variable), then the
         remaining contained atoms are checked outright.
         """
-        rest = [a for a in contained if a not in u.witness]
-        sols: list[tuple] = []
-        stack = [(0, dict(self.base))]
+        slot = {v: p for p, v in enumerate(vlist)}
+        for a in contained:
+            for t in a.args:
+                slot.setdefault(t, len(slot))  # anchors outside the union
+        witness = [(self.rows.get(a.relation, ()), [slot[t] for t in a.args]) for a in u.witness]
+        rest = [
+            (self.rows.get(a.relation, ()), [slot[t] for t in a.args])
+            for a in contained
+            if a not in u.witness
+        ]
+        sols = set()
+        stack = [(0, [self.bid.get(t) for t in slot])]
         while stack:
             wi, m = stack.pop()
-            if wi == len(u.witness):
-                if all(
-                    Atom(a.relation, tuple(m[t] for t in a.args)) in self.tgt_set
-                    for a in rest
-                ):
-                    sols.append(tuple(m[v] for v in vlist))
+            if wi == len(witness):
+                if all(tuple(map(m.__getitem__, s)) in fs for fs, s in rest):
+                    sols.add(tuple(m[: len(vlist)]))
                 continue
-            a = u.witness[wi]
-            for f in self.tgt_index.get(a.relation, ()):
-                m2 = dict(m)
-                ok = True
-                for t, val in zip(a.args, f.args):
-                    if m2.setdefault(t, val) != val:
-                        ok = False
+            rows, slots = witness[wi]
+            for row in rows:
+                m2 = m.copy()
+                for s, val in zip(slots, row):
+                    if m2[s] is None:
+                        m2[s] = val
+                    elif m2[s] != val:
                         break
-                if ok:
+                else:
                     stack.append((wi + 1, m2))
-        return sorted(set(sols))
+        return sorted(sols)
 
     def sweep(self) -> bool:
         """One barrier round: drop members lacking a compatible partner in
-        some union, judged against the pre-round state. True if anything
-        was deleted."""
+        some neighbouring union, judged against the pre-round state. True
+        if anything was deleted.
+
+        The first round checks every pair of `pairs`. A later round checks
+        union i only against the neighbours in `lost`, those that lost
+        members in the round before: a member of L_t[i] had partners in
+        L_{t-1}[j], so it still has them if L_t[j] = L_{t-1}[j]. The round
+        therefore equals an all-pairs round, and one round is still one
+        level of the bounded game.
+        """
+        lost, members = self.lost, self.members
         sigs: dict[tuple, set] = {}
-
-        def sig_set(j, proj):
-            key = (j, proj)
-            if key not in sigs:
-                sigs[key] = {tuple(m[p] for p in proj) for m in self.members[j]}
-            return sigs[key]
-
-        new_members = []
-        changed = False
-        for i in range(len(self.unions)):
-            keep = [
-                m
-                for m in self.members[i]
-                if all(
-                    tuple(m[p] for p in pi) in sig_set(j, pj)
-                    for j, pi, pj in self.pairs[i]
-                )
-            ]
-            if len(keep) != len(self.members[i]):
-                changed = True
-            new_members.append(keep)
-        self.members = new_members
-        return changed
+        self.lost = set()
+        self.members = list(members)
+        rechecked = 0
+        for i, row in enumerate(self.pairs):
+            checks = [(j, pi, pj) for j, pi, pj in row if j in lost]
+            if not checks:
+                continue
+            rechecked += 1
+            keep = members[i]
+            for j, pi, pj in checks:
+                if (j, pj) not in sigs:
+                    sigs[j, pj] = set(map(itemgetter(*pj), members[j]))
+                get, sig = itemgetter(*pi), sigs[j, pj]
+                keep = [m for m in keep if get(m) in sig]
+            if len(keep) != len(members[i]):
+                self.members[i] = keep
+                self.lost.add(i)
+        self.rechecked.append(rechecked)
+        return bool(self.lost)
 
     def all_nonempty(self) -> bool:
         return all(self.members)
 
+    def run(self, rounds: int | None = None) -> bool:
+        """Sweep until nothing changes, some union is empty, or `rounds`
+        rounds have run. True iff the anchors hold and every union keeps
+        a member."""
+        if not self.anchors_ok:
+            return False
+        for _ in itertools.count() if rounds is None else range(rounds):
+            if not self.all_nonempty() or not self.sweep():
+                break
+        return self.all_nonempty()
+
     def family(self) -> WinningFamily:
+        value = self.values.__getitem__
         decoded = [
-            [dict(self.base) | dict(zip(vlist, m)) for m in ms]
+            [dict(self.base) | dict(zip(vlist, map(value, m))) for m in ms]
             for vlist, ms in zip(self.vlists, self.members)
         ]
         return WinningFamily(dict(self.base), list(self.unions), decoded)
@@ -201,13 +251,8 @@ def wins_cover_game(
     anchor map alone must be a partial homomorphism).
     """
     game = _Game(src, src_tuple, tgt, tgt_tuple, k)
-    if not game.anchors_ok:
-        return False, None
-    if not game.unions:
+    if game.run():
         return True, game.family()
-    while game.all_nonempty():
-        if not game.sweep():
-            return True, game.family()
     return False, None
 
 
@@ -219,16 +264,7 @@ def wins_bounded(src, src_tuple, tgt, tgt_tuple, k: int, c: int) -> bool:
     if c < 0:
         raise CqError(f"round count must be nonnegative, got {c}")
     game = _Game(src, src_tuple, tgt, tgt_tuple, k)
-    if not game.anchors_ok:
-        return False
-    if c == 0 or not game.unions:
-        return True
-    for _ in range(c - 1):
-        if not game.all_nonempty():
-            return False
-        if not game.sweep():
-            break  # stabilized early: L_t = L_∞
-    return game.all_nonempty()
+    return game.anchors_ok and (c == 0 or game.run(c - 1))
 
 
 def constrained_wins_1(src: ConjunctiveQuery, X, tgt: ConjunctiveQuery, X2) -> bool:
@@ -237,21 +273,16 @@ def constrained_wins_1(src: ConjunctiveQuery, X, tgt: ConjunctiveQuery, X2) -> b
     if not src.is_boolean or not tgt.is_boolean:
         raise CqError("the set-constrained game is defined for Boolean queries")
     game = _Game(src, (), tgt, (), 1)
-    if not game.anchors_ok:
-        return False
-    restricted, allowed = set(X), set(X2)
-    for i, vlist in enumerate(game.vlists):
-        hot = [p for p, v in enumerate(vlist) if v in restricted]
-        if hot:
-            game.members[i] = [
-                m for m in game.members[i] if all(m[p] in allowed for p in hot)
-            ]
-    if not game.unions:
-        return True
-    while game.all_nonempty():
-        if not game.sweep():
-            return True
-    return False
+    if game.anchors_ok:
+        restricted = set(X)
+        allowed = {game.eid[t] for t in X2 if t in game.eid}
+        for i, vlist in enumerate(game.vlists):
+            hot = [p for p, v in enumerate(vlist) if v in restricted]
+            if hot:
+                game.members[i] = [
+                    m for m in game.members[i] if all(m[p] in allowed for p in hot)
+                ]
+    return game.run()
 
 
 # --- Unrolling ----------------------------------------------------------------
@@ -261,9 +292,7 @@ def unroll_size(q: ConjunctiveQuery, k: int, c: int) -> int:
     """Number of atoms unroll will emit (before deduplication)."""
     unions = k_unions(q, k)
     n = len(unions)
-    per_node = sum(
-        sum(1 for a in q.atoms if set(a.args) <= u.vars) for u in unions
-    )
+    per_node = sum(map(len, _node_atoms(q.atoms, unions, q.free_vars)))
     if n == 0 or c == 0:
         return 0
     levels = c if n == 1 else (n**c - 1) // (n - 1)
@@ -280,8 +309,8 @@ def unroll_with_decomposition(
 ) -> tuple[ConjunctiveQuery, TreeDecomposition]:
     """Build q_c: the complete k-union tree of depth c, bags renamed apart
     per occurrence (anchors exempt), one atom per (source atom, node)
-    with arguments inside the node label. Also returns the width-≤k
-    decomposition the construction carries.
+    with arguments inside the node label plus the free variables. Also
+    returns the width-≤k decomposition the construction carries.
 
     Homomorphisms q_c → D correspond to c-round Duplicator wins for
     every c ≥ 1. Depth 0 yields the empty query (the root is labeled
@@ -301,8 +330,8 @@ def unroll_with_decomposition(
             stacklevel=2,
         )
     unions = k_unions(q, k)
-    contained = [[a for a in q.atoms if set(a.args) <= u.vars] for u in unions]
     anchors = set(q.free_vars)
+    contained = _node_atoms(q.atoms, unions, anchors)
 
     used = {v.name for v in anchors}
     counter = itertools.count(1)
@@ -344,7 +373,7 @@ def unroll_with_decomposition(
             continue
         mapping = phi[node]
         for a in contained[ui]:
-            atoms.append(Atom(a.relation, tuple(mapping[d] for d in a.args)))
+            atoms.append(Atom(a.relation, tuple(mapping.get(d, d) for d in a.args)))
 
     qc = ConjunctiveQuery(q.free_vars, tuple(atoms), q.name)
     bags = {

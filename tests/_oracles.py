@@ -202,6 +202,64 @@ def oracle_wins_bounded(source, src_tuple, target, tgt_tuple, k, c):
     return all(any(survive(i, h, c) for h in configs[i]) for i in range(len(unions)))
 
 
+def reference_sweep_game(source, src_tuple, target, tgt_tuple, k, rounds=None):
+    """The cover game as barrier rounds over every ordered union pair, on
+    `Term` values: the reference that the engine's overlap graph,
+    frontier and interned ids must reproduce exactly.
+
+    Members per union are value tuples over its sorted variables, in
+    sorted order; each round drops those without a partner agreeing on
+    the overlap in some other union, judged against the round's start.
+    Runs until stable, a union is empty, or `rounds` rounds have run.
+    Returns the surviving family as the engine decodes it (per union,
+    dicts holding the anchors, then the union's variables in order) when
+    every union keeps a member, else None.
+    """
+    unions, configs, base = game_configs(source, src_tuple, target, tgt_tuple, k)
+    if base is None:
+        return None
+    vlists = [sorted(u) for u in unions]
+    members = [
+        sorted({tuple(dict(h)[v] for v in vl) for h in configs[i]})
+        for i, vl in enumerate(vlists)
+    ]
+    pairs = [
+        [
+            (
+                j,
+                tuple(p for p, v in enumerate(vi) if v in unions[j]),
+                tuple(vlists[j].index(v) for v in vi if v in unions[j]),
+            )
+            for j in range(len(unions))
+            if j != i
+        ]
+        for i, vi in enumerate(vlists)
+    ]
+    done = 0
+    while all(members) and done != rounds:
+        sigs = {
+            (j, pj): {tuple(m[p] for p in pj) for m in members[j]}
+            for row in pairs
+            for j, _, pj in row
+        }
+        swept = [
+            [
+                m
+                for m in ms
+                if all(tuple(m[p] for p in pi) in sigs[j, pj] for j, pi, pj in pairs[i])
+            ]
+            for i, ms in enumerate(members)
+        ]
+        if swept == members:
+            break
+        members, done = swept, done + 1
+    if not all(members):
+        return None
+    return [
+        [dict(base) | dict(zip(vl, m)) for m in ms] for vl, ms in zip(vlists, members)
+    ]
+
+
 # --- width by exhaustive elimination orderings -------------------------------
 
 

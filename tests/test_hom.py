@@ -150,6 +150,24 @@ def test_evaluate_agrees_with_oracle():
         assert evaluate(q, db) == brute_evaluate(q, db)
 
 
+def test_evaluate_builds_one_target_index(monkeypatch):
+    built = []
+
+    class Counting(hom._Target):
+        def __init__(self, facts):
+            built.append(1)
+            super().__init__(facts)
+
+    monkeypatch.setattr(hom, "_Target", Counting)
+    rng = random.Random(28)
+    for _ in range(20):
+        q = rand_cq(rng, n_free=rng.choice((1, 2)))
+        db = rand_db(rng)
+        built.clear()
+        assert evaluate(q, db) == brute_evaluate(q, db)
+        assert len(built) == 1
+
+
 def test_contains_examples():
     assert contains(triangle, path2)
     assert not contains(path2, triangle)

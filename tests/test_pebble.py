@@ -13,14 +13,17 @@ from cqapprox.model import (
     CqError,
     Database,
     Var,
+    parse_database,
     parse_query,
 )
+from cqapprox.gen import gen_qn, gen_qn_prime
 from cqapprox.hom import ArityError, find_hom
 
 from _oracles import (
     brute_k_unions,
     oracle_wins_bounded,
     oracle_wins_unbounded,
+    reference_sweep_game,
 )
 from _support import (
     c2,
@@ -41,6 +44,9 @@ fig1_q = parse_query(
 fig1_qprime = parse_query(
     "q() :- P_a(x,y1), P_a(y1,x), P_b(x,z), P_b(z,x), P_a(z,y2), P_a(y2,z)."
 )
+# F(b,c) has no G partner, and only then does E(a,b) lose its F partner
+chain_q = parse_query("q() :- E(x,y), F(y,z), G(z,w).")
+chain_db = parse_database("E(a,b). E(e,f). F(b,c). F(f,g). G(g,h).")
 
 
 # --- k_unions -----------------------------------------------------------------
@@ -247,6 +253,64 @@ def test_reversed_deletion_order_same_fixpoint():
         assert surviving(plain) == surviving(rev)
 
 
+def _items(members):
+    return [[list(h.items()) for h in ms] for ms in members]
+
+
+def test_families_and_levels_match_all_pairs_sweep():
+    # the overlap graph, the frontier and interned ids change no member,
+    # no member order and no level of the bounded game
+    rng = random.Random(990)
+    cases = [rand_anchored_pair(rng) + (rng.randint(1, 2),) for _ in range(150)]
+    cases += [(triangle, (), c2, (), 1), (fig1_q, (), fig1_qprime, (), 2)]
+    cases += [(chain_q, (), chain_db, (), 1)]
+    for n in (2, 3):  # the forward game takes several rounds to settle
+        qn, qp = gen_qn(n), gen_qn_prime(n)
+        cases += [(qp, (), qn, (), 1), (qn, (), qp, (), 1)]
+    for q, src_tuple, db, tgt, k in cases:
+        won, family = pebble.wins_cover_game(q, src_tuple, db, tgt, k)
+        ref = reference_sweep_game(q, src_tuple, db, tgt, k)
+        assert (_items(family.members) if won else None) == (
+            None if ref is None else _items(ref)
+        ), (q, db, tgt, k)
+        anchors_ok = pebble._Game(q, src_tuple, db, tgt, k).anchors_ok
+        for c in range(5):
+            expect = anchors_ok if c == 0 else reference_sweep_game(
+                q, src_tuple, db, tgt, k, rounds=c - 1
+            ) is not None
+            assert pebble.wins_bounded(q, src_tuple, db, tgt, k, c) == expect
+
+
+def test_variable_disjoint_union_left_when_partner_empties():
+    # E(x,y) shares no variable with the F atoms, so it has no overlap
+    # pairs; the F unions empty each other in round 1 and the E union
+    # stays non-empty, which must still be a loss
+    q = parse_query("q() :- E(x,y), F(z,w), F(w,v).")
+    db = parse_database("E(a,b). F(c,d).")
+    game = pebble._Game(q, (), db, (), 1)
+    assert [len(row) for row in game.pairs] == [1, 1, 0]  # E(x,y) comes last
+    assert game.sweep() and game.members[2] and not any(game.members[:2])
+    assert pebble.wins_cover_game(q, (), db, (), 1) == (False, None)
+    assert pebble.wins_bounded(q, (), db, (), 1, 1)
+    assert not pebble.wins_bounded(q, (), db, (), 1, 2)
+    same_as_query = parse_query("q() :- E(a,b), F(c,d).")
+    assert not pebble.constrained_wins_1(q, set(), same_as_query, set())
+
+
+def test_frontier_rechecks_only_unions_next_to_a_loss():
+    game = pebble._Game(chain_q, (), chain_db, (), 1)
+    assert [sorted(v.name for v in u.vars) for u in game.unions] == [
+        ["w", "z"], ["x", "y"], ["y", "z"]
+    ]
+    assert game.sweep() and game.lost == {2}  # F(b,c) goes ...
+    assert game.sweep() and game.lost == {1}  # ... then E(a,b), its only partner
+    assert not game.sweep()
+    assert not game.sweep()  # after a round that deleted nothing, none is re-checked
+    # all 3 unions, F's 2 neighbours, E's 1 neighbour, then none
+    assert game.rechecked == [3, 2, 1, 0]
+    assert [len(ms) for ms in game.members] == [1, 1, 1]
+
+
 # --- bounded game ---------------------------------------------------------
 
 
@@ -445,6 +509,17 @@ def test_unroll_matches_bounded_wins_on_randoms():
         lhs = find_hom(qc, qc.free_vars, db, tgt) is not None
         rhs = pebble.wins_bounded(q, q.free_vars, db, tgt, k, c)
         assert lhs == rhs, (trial, q, db, tgt, k, c)
+
+
+def test_unroll_keeps_atoms_touching_free_variables():
+    # a Duplicator answer on {x1,x2} also fixes x0 and so must respect
+    # E(x0,x1); the node for {x1,x2} has to carry that atom as well
+    q = parse_query("q(x0) :- E(x0,x1), E(x1,x2).")
+    db = parse_database("E(c0,c1).")
+    qc = pebble.unroll(q, 1, 1)
+    assert len(qc.atoms) == pebble.unroll_size(q, 1, 1) == 3
+    assert not pebble.wins_bounded(q, q.free_vars, db, (Const("c0"),), 1, 1)
+    assert find_hom(qc, qc.free_vars, db, (Const("c0"),)) is None
 
 
 def test_depth_zero_diverges_from_zero_rounds_on_anchor_atoms():
