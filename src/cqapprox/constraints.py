@@ -3,7 +3,9 @@
 The chase rewrites a query until it satisfies the dependencies: egds
 identify variables (finite, unique result, with the witnessing
 homomorphism h onto the result), tgds add atoms with fresh nulls in
-fair breadth-first rounds up to a depth cap. Containment and
+fair breadth-first rounds up to a depth cap. One generator, `_triggers`,
+serves satisfies, each egd step and each tgd round, joining bodies and
+checking heads over one `hom._Target` per instance. Containment and
 overapproximation evaluation under constraints reduce to homomorphism
 and cover-game checks against the chased query; for guarded tgds and a
 satisfying database the game can skip the chase entirely.
@@ -15,8 +17,9 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from cqapprox.hom import Hom, find_hom
+from cqapprox.hom import Hom, _atoms_of, _find_hom, _Target, find_hom
 from cqapprox.model import (
+    ArityError,
     Atom,
     ConjunctiveQuery,
     CqError,
@@ -25,6 +28,7 @@ from cqapprox.model import (
     ParseError,
     Term,
     Var,
+    _check_arities,
     _make_var,
     _parse_atom,
     _Tokens,
@@ -143,52 +147,58 @@ def parse_dependencies(text: str) -> tuple:
 # --- satisfaction ----------------------------------------------------------
 
 
-def _instance_atoms(inst) -> tuple[Atom, ...]:
-    if isinstance(inst, ConjunctiveQuery):
-        return inst.atoms
-    return inst.facts
-
-
-def _all_homs(body: tuple[Atom, ...], facts) -> list[dict]:
-    """Every homomorphism from the body atom list into the fact list."""
-    by_rel: dict[str, list[Atom]] = {}
-    for f in facts:
-        by_rel.setdefault(f.relation, []).append(f)
-    out: list[dict] = []
-
-    def walk(i: int, m: dict):
-        if i == len(body):
-            out.append(dict(m))
-            return
-        a = body[i]
-        for f in by_rel.get(a.relation, ()):
-            if len(f.args) != len(a.args):
-                continue
-            bound = []
-            ok = True
-            for t, val in zip(a.args, f.args):
-                prev = m.get(t)
-                if prev is None:
-                    m[t] = val
-                    bound.append(t)
-                elif prev != val:
-                    ok = False
-                    break
-            if ok:
-                walk(i + 1, m)
-            for t in bound:
-                del m[t]
-
-    walk(0, {})
-    return out
-
-
-def _split(deps):
+def _split(deps, inst):
+    """The egds and the tgds of deps. ArityError unless every relation
+    has one arity across the dependencies and the instance."""
     egds = [d for d in deps if isinstance(d, Egd)]
     tgds = [d for d in deps if isinstance(d, Tgd)]
     if len(egds) + len(tgds) != len(deps):
         raise DependencyError("dependency set may contain only Tgd and Egd values")
+    atoms = [a for d in deps for a in d.body] + [a for d in tgds for a in d.head]
+    for rel, n in _check_arities(atoms, "the dependencies").items():
+        m = inst.arities.get(rel, n)
+        if m != n:
+            raise ArityError(
+                f"relation {rel} has arity {n} in the dependencies but {m} in the instance"
+            )
     return egds, tgds
+
+
+def _triggers(facts, deps):
+    """The active triggers of deps on the facts, dependency by dependency.
+
+    An egd yields (egd, h) for every body match h with h(y) ≠ h(z); a tgd
+    yields (tgd, frontier map) once per frontier image with no head
+    witness. Body matches come in lexicographic order of the facts
+    matched. One target index serves the body joins and the head checks.
+    """
+    target = _Target(facts)
+    values = target.values
+    for dep in deps:
+        slot: dict[Term, int] = {}
+        for a in dep.body:
+            for t in a.args:
+                slot.setdefault(t, len(slot))
+        matches = target.join(dep.body, slot, [None] * len(slot))
+        if isinstance(dep, Egd):
+            y, z = slot[dep.eq[0]], slot[dep.eq[1]]
+            for m in matches:
+                if m[y] != m[z]:
+                    yield dep, {v: values[m[s]] for v, s in slot.items()}
+            continue
+        frontier = tuple(sorted(dep.frontier))
+        head_q = ConjunctiveQuery(frontier, dep.head)
+        seen = set()
+        for m in matches:
+            key = tuple(m[slot[x]] for x in frontier)
+            if key in seen:
+                continue
+            seen.add(key)
+            image = tuple(values[i] for i in key)
+            # head_q has no variable outside its atoms, so the target
+            # object itself is never read
+            if _find_hom(head_q, frontier, None, image, target) is None:
+                yield dep, dict(zip(frontier, image))
 
 
 def satisfies(inst, deps) -> bool:
@@ -197,27 +207,9 @@ def satisfies(inst, deps) -> bool:
     Exhaustive: every tgd trigger must extend to a head witness, every
     egd trigger must already equate its two variables.
     """
-    facts = _instance_atoms(inst)
-    for dep in deps:
-        if isinstance(dep, Egd):
-            y, z = dep.eq
-            for h in _all_homs(dep.body, facts):
-                if h[y] != h[z]:
-                    return False
-        elif isinstance(dep, Tgd):
-            frontier = tuple(sorted(dep.frontier))
-            head_q = ConjunctiveQuery(frontier, dep.head)
-            seen = set()
-            for h in _all_homs(dep.body, facts):
-                key = tuple(h[x] for x in frontier)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if find_hom(head_q, frontier, inst, key) is None:
-                    return False
-        else:
-            raise DependencyError("dependency set may contain only Tgd and Egd values")
-    return True
+    deps = tuple(deps)
+    _split(deps, inst)
+    return next(_triggers(_atoms_of(inst), deps), None) is None
 
 
 # --- the chase -----------------------------------------------------------------
@@ -231,56 +223,26 @@ def chase_egds(q: ConjunctiveQuery, deps) -> ChaseResult:
     other, so two free positions may merge. Returns the result and the
     surjective homomorphism h with h(q) = result.
     """
-    egds, tgds = _split(deps)
+    egds, tgds = _split(deps, q)
     if tgds:
         raise DependencyError("chase_egds accepts equality-generating dependencies only")
     mapping: dict[Term, Term] = {v: v for v in q.variables}
     atoms = list(q.atoms)
 
-    changed = True
-    while changed:
-        changed = False
-        for dep in egds:
-            y, z = dep.eq
-            for h in _all_homs(dep.body, atoms):
-                if h[y] == h[z]:
-                    continue
-                keep, drop = sorted((h[y], h[z]))
-                atoms = [
-                    Atom(a.relation, tuple(keep if t == drop else t for t in a.args))
-                    for a in atoms
-                ]
-                seen: set[Atom] = set()
-                atoms = [a for a in atoms if not (a in seen or seen.add(a))]
-                mapping = {
-                    src: (keep if tgt == drop else tgt) for src, tgt in mapping.items()
-                }
-                changed = True
-                break
-            if changed:
-                break
+    while (trigger := next(_triggers(atoms, egds), None)) is not None:
+        dep, h = trigger
+        keep, drop = sorted((h[dep.eq[0]], h[dep.eq[1]]))
+        atoms = [
+            Atom(a.relation, tuple(keep if t == drop else t for t in a.args))
+            for a in atoms
+        ]
+        seen: set[Atom] = set()
+        atoms = [a for a in atoms if not (a in seen or seen.add(a))]
+        mapping = {src: (keep if tgt == drop else tgt) for src, tgt in mapping.items()}
 
     head = tuple(mapping[v] for v in q.free_vars)
     result = ConjunctiveQuery(head, tuple(atoms), q.name)
     return ChaseResult(result, Hom(mapping, q, result), True)
-
-
-def _pending_triggers(atoms: list[Atom], tgds) -> list[tuple[Tgd, dict]]:
-    """Triggers with no head witness, one per (tgd, frontier image)."""
-    inst = ConjunctiveQuery((), tuple(atoms))
-    out = []
-    for dep in tgds:
-        frontier = tuple(sorted(dep.frontier))
-        head_q = ConjunctiveQuery(frontier, dep.head)
-        seen = set()
-        for h in _all_homs(dep.body, atoms):
-            key = tuple(h[x] for x in frontier)
-            if key in seen:
-                continue
-            seen.add(key)
-            if find_hom(head_q, frontier, inst, key) is None:
-                out.append((dep, dict(zip(frontier, key))))
-    return out
 
 
 def chase_tgds(q: ConjunctiveQuery, deps, max_depth: int = 16) -> ChaseResult:
@@ -289,7 +251,7 @@ def chase_tgds(q: ConjunctiveQuery, deps, max_depth: int = 16) -> ChaseResult:
     existential head variables. Stops at a fixpoint (complete) or after
     max_depth rounds (complete=False; the result is a prefix of a valid
     chase sequence)."""
-    egds, tgds = _split(deps)
+    egds, tgds = _split(deps, q)
     if egds:
         raise DependencyError("chase_tgds accepts tuple-generating dependencies only")
     if max_depth < 0:
@@ -307,9 +269,8 @@ def chase_tgds(q: ConjunctiveQuery, deps, max_depth: int = 16) -> ChaseResult:
                 used_names.add(name)
                 return Var(name)
 
-    pending = _pending_triggers(atoms, tgds)
     rounds = 0
-    while pending and rounds < max_depth:
+    while (pending := list(_triggers(atoms, tgds))) and rounds < max_depth:
         for dep, fmap in pending:
             ext = dict(fmap)
             for zvar in sorted(dep.head_vars - dep.frontier):
@@ -320,7 +281,6 @@ def chase_tgds(q: ConjunctiveQuery, deps, max_depth: int = 16) -> ChaseResult:
                     atom_set.add(na)
                     atoms.append(na)
         rounds += 1
-        pending = _pending_triggers(atoms, tgds)
 
     result = ConjunctiveQuery(q.free_vars, tuple(atoms), q.name)
     identity = Hom({v: v for v in q.variables}, q, result)
@@ -341,7 +301,7 @@ def contains_under(
     proves containment (the prefix embeds in the full chase), but its
     absence proves nothing, reported as None.
     """
-    egds, tgds = _split(deps)
+    egds, tgds = _split(deps, q)
     if egds and tgds:
         raise DependencyError("dependency set must be all egds or all tgds")
     if egds:
@@ -374,7 +334,7 @@ def eval_overapprox_under(
     definitive (the full chase can only shrink Duplicator's options) and
     True may overshoot, flagged by ChaseDepthWarning.
     """
-    egds, tgds = _split(deps)
+    egds, tgds = _split(deps, q)
     if egds and tgds:
         raise DependencyError("dependency set must be all egds or all tgds")
     if not satisfies(db, deps):

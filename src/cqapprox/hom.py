@@ -1,19 +1,27 @@
 """Homomorphism search, CQ evaluation, containment, and cores.
 
-One engine, `_Search`, serves find_hom, endomorphisms and core. It is
-exact backtracking that keeps generalized arc consistency by support
-counting (AC-4, Mohr & Henderson 1986):
+`_Target` is the one place where a target is interned (ids in canonical
+order, so id order is `Term` order) and indexed; each index is built on
+first use and shared by every search into that target. Two algorithms
+read it, each for its own job:
 
-- Target elements are interned to ids in canonical order, so id order
-  is `Term` order.
-- The target rows fitting a source atom (its relation, its repetition
-  pattern and its anchored positions) are built once per such signature
-  and indexed per variable slot and value.
-- Every (atom, slot, value) keeps a count of live rows. Removing a value
-  from a domain kills its rows; a count that falls to 0 removes that
-  value from the slot's variable. Every change after the initial
-  fixpoint goes on a trail, so a branch, or a dropped target fact, is
-  undone exactly.
+- `_Target.join` lists every homomorphism, for the cover game's answers
+  and the chase's triggers: a nested-loop join over id rows in the
+  given atom order, a fully bound atom being one set lookup. Listing
+  them with `_Search` would pay an O(|domain|) assign, propagate and
+  undo at every node; built so, the game's answers kept a 15-s
+  `cli_mix` benchmark run going past 300 s.
+- `_Search` finds a first homomorphism, for find_hom and core, and lists
+  endomorphisms. It is exact backtracking that keeps generalized arc
+  consistency by support counting (AC-4, Mohr & Henderson 1986):
+  - The target rows fitting a source atom (its relation, its
+    repetition pattern and its anchored positions) are built once per
+    such signature and indexed per variable slot and value.
+  - Every (atom, slot, value) keeps a count of live rows. Removing a
+    value from a domain kills its rows; a count that falls to 0 removes
+    that value from the slot's variable. Every change after the initial
+    fixpoint goes on a trail, so a branch, or a dropped target fact, is
+    undone exactly.
 
 The next variable is always a most-constrained one (fewest values, then
 canonical order) and values are tried in canonical order. The greatest
@@ -36,6 +44,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 
 from cqapprox.model import (
     ArityError,
@@ -43,6 +52,7 @@ from cqapprox.model import (
     ConjunctiveQuery,
     Database,
     Term,
+    _UnionFind,
     check_schemas_agree,
 )
 
@@ -86,23 +96,95 @@ def _anchor_map(src_tuple, tgt_tuple):
 
 
 class _Target:
-    """A target's facts prepared for search: facts per relation, element
-    ids in canonical order, and the fitting rows per signature, built on
-    first use and shared by every search into this target."""
+    """A target's facts, interned and indexed once for every search into
+    it: facts per relation, element ids in canonical order, the fitting
+    rows per signature for `_Search`, and the id rows per relation for
+    `join`, each built on first use."""
 
     def __init__(self, facts):
         self.by_rel: dict[str, list[Atom]] = {}
         for f in facts:
             self.by_rel.setdefault(f.relation, []).append(f)
-        self.values = sorted({t for f in facts for t in f.args})
+        # the (kind, name) key gives Term order, and is cheaper than Term.__lt__
+        self.values = sorted(
+            {t for f in facts for t in f.args}, key=lambda t: (t.kind, t.name)
+        )
         self.eid = {t: k for k, t in enumerate(self.values)}
         self.sigs: dict[tuple, _Rows] = {}
+        self.ids: dict[str, tuple[list[tuple], set[tuple]]] = {}
 
     def rows(self, relation, pattern) -> _Rows:
         key = (relation, pattern)
         if key not in self.sigs:
             self.sigs[key] = _Rows(self.by_rel.get(relation, ()), pattern, self)
         return self.sigs[key]
+
+    def id_rows(self, relation) -> tuple[list[tuple], set[tuple]]:
+        """The relation's facts as id tuples, in fact order and as a set."""
+        if relation not in self.ids:
+            eid = self.eid.__getitem__
+            rows = [tuple(map(eid, f.args)) for f in self.by_rel.get(relation, ())]
+            self.ids[relation] = (rows, set(rows))
+        return self.ids[relation]
+
+    def join(self, atoms, slot, m):
+        """Yield every homomorphism from `atoms` into the facts extending m.
+
+        `slot` numbers the atoms' terms, and m holds an id per slot, None
+        where unbound; each solution is m completed, as a tuple. Atoms are
+        matched in the given order. An atom whose slots are all bound by
+        then is one set lookup; any other is a scan of its relation's facts
+        in fact order, so solutions come in lexicographic order of the
+        facts matched. An id that no fact holds, as for an anchor value
+        outside the target, is bound and matches nothing.
+        """
+        bound = {s for s, v in enumerate(m) if v is not None}
+        # a lookup step is (None, row set, slots); a scan step is (rows,
+        # check of bound slots, fresh (position, slot) pairs, repeats)
+        steps: list = []
+        for a in atoms:
+            rows, row_set = self.id_rows(a.relation)
+            slots = [slot[t] for t in a.args]
+            if bound.issuperset(slots):
+                steps.append((None, row_set, slots))
+                continue
+            check, fresh, repeats = [], {}, []
+            for p, s in enumerate(slots):
+                if s in bound:
+                    check.append((p, s))
+                elif s in fresh:
+                    repeats.append((fresh[s], p))
+                else:
+                    fresh[s] = p
+            bound.update(fresh)
+            if check:
+                pos, at = zip(*check)
+                check = (itemgetter(*pos), itemgetter(*at))
+            steps.append((rows, check, [(p, s) for s, p in fresh.items()], repeats))
+        return _walk(steps, 0, list(m))
+
+
+def _walk(steps, i, m):
+    """`_Target.join`'s depth-first search from step i. A slot is written
+    only by the step binding it and read only after, so m is never reset."""
+    if i == len(steps):
+        yield tuple(m)
+        return
+    step = steps[i]
+    if step[0] is None:
+        if tuple([m[s] for s in step[2]]) in step[1]:
+            yield from _walk(steps, i + 1, m)
+        return
+    rows, check, fresh, repeats = step
+    if check:
+        get, want = check[0], check[1](m)
+        rows = [row for row in rows if get(row) == want]
+    if repeats:
+        rows = [row for row in rows if all(row[p] == row[q] for p, q in repeats)]
+    for row in rows:
+        for p, s in fresh:
+            m[s] = row[p]
+        yield from _walk(steps, i + 1, m)
 
 
 class _Rows:
@@ -418,23 +500,16 @@ def _split_components(atoms, base):
     singleton groups. Order of unanchored vars is first occurrence in the
     component's sorted atom list, which _component_key relies on.
     """
-    parent: dict[Term, Term] = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = _UnionFind()
     for a in atoms:
         free = [t for t in a.args if t not in base]
         for u, w in zip(free, free[1:]):
-            parent[find(u)] = find(w)
+            sets.union(u, w)
 
     groups: dict[Term | None, list[Atom]] = {}
     for a in atoms:
         free = [t for t in a.args if t not in base]
-        rep = find(free[0]) if free else None
+        rep = sets.find(free[0]) if free else None
         groups.setdefault(rep, []).append(a)
 
     anchored_only = groups.pop(None, [])

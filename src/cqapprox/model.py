@@ -176,6 +176,29 @@ class Database:
         return serialize_database(self)
 
 
+class _UnionFind:
+    """Disjoint sets over hashable items, with path halving. An item joins
+    as a singleton the first time it is seen."""
+
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        parent = self.parent
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x, y) -> bool:
+        """Merge the sets of x and y; False if they were one set already."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[rx] = ry
+        return True
+
+
 @dataclass(frozen=True)
 class GaifmanGraph:
     """Variables of a CQ with an edge {z,z'} iff z≠z' co-occur in an atom."""
@@ -415,25 +438,13 @@ def disjoint_conjunction(q: ConjunctiveQuery, q2: ConjunctiveQuery) -> Conjuncti
 
     # Union-find over head positions; transitive merges happen when a head
     # variable repeats on either side.
-    parent: dict[tuple[str, Term], tuple[str, Term]] = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    sets = _UnionFind()
     for hv, hv2 in zip(q.free_vars, q2.free_vars):
-        union(("a", hv), ("b", hv2))
+        sets.union(("a", hv), ("b", hv2))
 
     classes: dict[tuple[str, Term], list[tuple[str, Term]]] = {}
-    for x in list(parent):
-        classes.setdefault(find(x), []).append(x)
+    for x in list(sets.parent):
+        classes.setdefault(sets.find(x), []).append(x)
     rep_for: dict[tuple[str, Term], Term] = {}
     used_names = set()
     for root, members in classes.items():
@@ -485,23 +496,13 @@ def connected_components(q: ConjunctiveQuery) -> list[ConjunctiveQuery]:
     """Split a Boolean CQ into its Gaifman-connected components."""
     if not q.is_boolean:
         raise CqError("connected_components requires a Boolean query")
-    g = gaifman(q)
-    comp: dict[Term, Term] = {}  # variable -> component representative
-    for v in sorted(g.nodes):
-        if v in comp:
-            continue
-        stack = [v]
-        comp[v] = v
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp[w] = v
-                    stack.append(w)
-    by_rep: dict[Term, list[Atom]] = {}
+    sets = _UnionFind()
     for a in q.atoms:
-        by_rep.setdefault(comp[a.args[0]], []).append(a)
-    return [
-        ConjunctiveQuery((), tuple(atoms), q.name)
-        for rep, atoms in sorted(by_rep.items())
-    ]
+        for t in a.args[1:]:
+            sets.union(a.args[0], t)
+    by_root: dict[Term, list[Atom]] = {}
+    for a in q.atoms:
+        by_root.setdefault(sets.find(a.args[0]), []).append(a)
+    # components in the order of their least variable
+    comps = sorted(by_root.values(), key=lambda atoms: min(t for a in atoms for t in a.args))
+    return [ConjunctiveQuery((), tuple(atoms), q.name) for atoms in comps]

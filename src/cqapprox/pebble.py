@@ -9,8 +9,9 @@ for the c-round variant; unroll builds the finite CQ q_c whose
 homomorphisms into D are exactly the c-round Duplicator wins.
 
 All three solvers, constrained_wins_1 included, run one loop,
-`_Game.run`, over one state. Answers are id tuples over target elements
-interned in canonical `Term` order. Unions are linked only when they
+`_Game.run`, over one state. Answers are id tuples over the target's
+`hom._Target` index, and a union's answers come from `_Target.join`,
+the one enumerator of all homomorphisms. Unions are linked only when they
 share an unanchored variable (the overlap graph); any other pair only
 asks for a non-empty partner. Each barrier round after the first
 re-checks a union only against neighbours that lost answers in the
@@ -27,7 +28,7 @@ from operator import itemgetter
 
 from cqapprox.model import Atom, ConjunctiveQuery, CqError, Term, Var
 from cqapprox.model import check_schemas_agree
-from cqapprox.hom import _anchor_map, _atoms_of
+from cqapprox.hom import _anchor_map, _atoms_of, _Target
 from cqapprox.width import TreeDecomposition
 
 
@@ -80,9 +81,9 @@ def _node_atoms(atoms, unions, anchors) -> list[list[Atom]]:
 class _Game:
     """Shared state of the three game solvers, all driven by `run()`.
 
-    Target elements are interned to ids in canonical `Term` order, and
-    the target's facts are kept as a set of id rows per relation.
-    `members[i]` holds union i's surviving partial homs as sorted id
+    `target` is the target's `hom._Target`, whose ids follow canonical
+    `Term` order; an anchor value outside it gets id -1, which no fact
+    holds. `members[i]` holds union i's surviving partial homs as sorted id
     tuples aligned with its sorted variable list `vlists[i]` (anchors
     included, the same in every member); since id order is `Term` order,
     `family()` decodes them into exactly the dicts, in exactly the
@@ -102,17 +103,11 @@ class _Game:
         self.unions: list[KUnion] = []
         if self.base is None:
             return
-        facts = _atoms_of(tgt)
-        elements = {t for f in facts for t in f.args} | set(self.base.values())
-        self.values = sorted(elements, key=lambda t: (t.kind, t.name))
-        self.eid = eid = {t: n for n, t in enumerate(self.values)}
-        self.rows: dict[str, set[tuple]] = {}
-        for f in facts:
-            self.rows.setdefault(f.relation, set()).add(tuple(map(eid.__getitem__, f.args)))
-        self.bid = {s: eid[t] for s, t in self.base.items()}
+        self.target = target = _Target(_atoms_of(tgt))
+        self.bid = {s: target.eid.get(t, -1) for s, t in self.base.items()}
         src_atoms = _atoms_of(src)
         self.anchors_ok = all(
-            tuple(map(self.bid.__getitem__, a.args)) in self.rows.get(a.relation, ())
+            tuple(map(self.bid.__getitem__, a.args)) in target.id_rows(a.relation)[1]
             for a in src_atoms
             if all(t in self.bid for t in a.args)
         )
@@ -147,41 +142,17 @@ class _Game:
         self.rechecked: list[int] = []  # per round, the unions it re-checked
 
     def _enumerate(self, u: KUnion, vlist, contained) -> list[tuple]:
-        """All valid partial homs on u.vars ∪ anchors, as sorted id tuples.
-
-        Assignments come from matching the witness atoms against the
-        target rows (the witness covers every union variable), then the
-        remaining contained atoms are checked outright.
-        """
+        """All valid partial homs on u.vars ∪ anchors, as sorted id tuples:
+        the join of the witness atoms (which cover every union variable)
+        and then of the other contained atoms, each by then a lookup."""
         slot = {v: p for p, v in enumerate(vlist)}
         for a in contained:
             for t in a.args:
                 slot.setdefault(t, len(slot))  # anchors outside the union
-        witness = [(self.rows.get(a.relation, ()), [slot[t] for t in a.args]) for a in u.witness]
-        rest = [
-            (self.rows.get(a.relation, ()), [slot[t] for t in a.args])
-            for a in contained
-            if a not in u.witness
-        ]
-        sols = set()
-        stack = [(0, [self.bid.get(t) for t in slot])]
-        while stack:
-            wi, m = stack.pop()
-            if wi == len(witness):
-                if all(tuple(map(m.__getitem__, s)) in fs for fs, s in rest):
-                    sols.add(tuple(m[: len(vlist)]))
-                continue
-            rows, slots = witness[wi]
-            for row in rows:
-                m2 = m.copy()
-                for s, val in zip(slots, row):
-                    if m2[s] is None:
-                        m2[s] = val
-                    elif m2[s] != val:
-                        break
-                else:
-                    stack.append((wi + 1, m2))
-        return sorted(sols)
+        atoms = list(u.witness) + [a for a in contained if a not in u.witness]
+        sols = self.target.join(atoms, slot, [self.bid.get(t) for t in slot])
+        n = len(vlist)
+        return sorted({m[:n] for m in sols})
 
     def sweep(self) -> bool:
         """One barrier round: drop members lacking a compatible partner in
@@ -232,7 +203,7 @@ class _Game:
         return self.all_nonempty()
 
     def family(self) -> WinningFamily:
-        value = self.values.__getitem__
+        value = self.target.values.__getitem__
         decoded = [
             [dict(self.base) | dict(zip(vlist, map(value, m))) for m in ms]
             for vlist, ms in zip(self.vlists, self.members)
@@ -275,7 +246,7 @@ def constrained_wins_1(src: ConjunctiveQuery, X, tgt: ConjunctiveQuery, X2) -> b
     game = _Game(src, (), tgt, (), 1)
     if game.anchors_ok:
         restricted = set(X)
-        allowed = {game.eid[t] for t in X2 if t in game.eid}
+        allowed = {game.target.eid[t] for t in X2 if t in game.target.eid}
         for i, vlist in enumerate(game.vlists):
             hot = [p for p, v in enumerate(vlist) if v in restricted]
             if hot:

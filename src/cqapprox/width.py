@@ -19,6 +19,7 @@ from cqapprox.model import (
     ParseError,
     Term,
     Var,
+    _UnionFind,
 )
 
 
@@ -115,18 +116,10 @@ def ghw1_membership(q: ConjunctiveQuery) -> TreeDecomposition | None:
         ),
     )
     parent_of: dict[int, int | None] = {i: None for i in order}
-    comp = {i: i for i in order}
-
-    def find(i):
-        while comp[i] != i:
-            comp[i] = comp[comp[i]]
-            i = comp[i]
-        return i
-
+    sets = _UnionFind()
     total = 0
     for negw, i, j in pair_weights:
-        ri, rj = find(i), find(j)
-        if ri == rj:
+        if not sets.union(j, i):
             continue
         # re-root j's component at j, then hang it off i
         chain, node = [], j
@@ -136,7 +129,6 @@ def ghw1_membership(q: ConjunctiveQuery) -> TreeDecomposition | None:
         for a, b in zip(chain, chain[1:]):
             parent_of[b] = a
         parent_of[j] = i
-        comp[rj] = ri
         total += -negw
     assert total == target, "GYO and spanning-forest verdicts disagree"
 

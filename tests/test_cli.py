@@ -147,6 +147,18 @@ def test_arity_mismatch_is_exit_3_without_traceback(capsys, files, tmp_path):
     assert err.startswith("cqapprox: error:") and "Traceback" not in err
 
 
+def test_dependency_arity_clash_is_exit_3(capsys, files, tmp_path):
+    fd = tmp_path / "fd.deps"
+    fd.write_text("E(x,y,z), E(x,y2,z2) -> z = z2.")
+    for argv in (
+        ("satisfies", "--db", files["c2_db"]),
+        ("chase", "--query", files["path2"]),
+    ):
+        code, report, err = run_json(capsys, *argv, "--deps", str(fd))
+        assert code == 3 and report["verdict"] == "error"
+        assert err.startswith("cqapprox: error:") and "Traceback" not in err
+
+
 def test_internal_failure_is_exit_3(capsys, files, monkeypatch):
     def broken(q):
         raise KeyError("boom")

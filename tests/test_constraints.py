@@ -6,6 +6,7 @@ import pytest
 
 from cqapprox import constraints as cn
 from cqapprox.model import (
+    ArityError,
     Atom,
     ConjunctiveQuery,
     Const,
@@ -13,6 +14,7 @@ from cqapprox.model import (
     Database,
     ParseError,
     Var,
+    parse_database,
     parse_query,
 )
 from cqapprox.hom import find_hom
@@ -117,6 +119,24 @@ def test_satisfies_matches_oracle():
         db = rand_db(rng, max_consts=4, max_facts=6, schema=(("E", 2), ("P", 1)))
         deps = [rand_dependency(rng) for _ in range(rng.randint(1, 3))]
         assert cn.satisfies(db, deps) == brute_satisfies(db, deps)
+
+
+def test_dependency_arity_clash_raises():
+    # a clash with the instance, and one inside the dependency set
+    db = parse_database("R(a,b). R(a,c).")
+    for text in ("R(x,y,z), R(x,y2,z2) -> z = z2.", "R(x,y,z) -> P(x).", "R(x) -> P(x)."):
+        with pytest.raises(ArityError):
+            cn.satisfies(db, [cn.parse_dependency(text)])
+    q = parse_query("q(x) :- R(x,y).")
+    clashing = cn.parse_dependencies("R(x,y) -> P(x). P(x,y) -> R(x,y).")
+    with pytest.raises(ArityError):
+        cn.chase_tgds(q, clashing)
+    with pytest.raises(ArityError):
+        cn.chase_tgds(q, [cn.parse_dependency("R(x,y,z) -> P(x).")])
+    with pytest.raises(ArityError):
+        cn.chase_egds(q, [cn.parse_dependency("R(x,y,z), R(x,y2,z2) -> z = z2.")])
+    with pytest.raises(ArityError):
+        cn.satisfies(q, clashing)
 
 
 # --- chase_egds ----------------------------------------------------------------

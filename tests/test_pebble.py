@@ -176,6 +176,24 @@ def test_broken_anchor_map_is_immediate_loss():
     assert not pebble.wins_bounded(q, q.free_vars, tgt, (one, two), 1, 0)
 
 
+def test_anchor_values_outside_the_target():
+    # zz occurs in no fact: an anchored variable inside some atom can then
+    # match nothing, while one outside every atom only rides along
+    db = parse_database("E(a,b).")
+    a, b, zz = Const("a"), Const("b"), Const("zz")
+    x, y, z, w = map(Var, "xyzw")
+    q = parse_query("q(x) :- E(x,y).")
+    twice = parse_query("q(x,x) :- E(y,z).")
+    unused = ConjunctiveQuery((x, w), (Atom("E", (x, y)),))
+    for k in (1, 2):
+        assert pebble.wins_cover_game(q, q.free_vars, db, (zz,), k) == (False, None)
+        assert not pebble.wins_bounded(q, q.free_vars, db, (zz,), k, 2)
+        won, family = pebble.wins_cover_game(twice, twice.free_vars, db, (zz, zz), k)
+        assert won and family.members == [[{x: zz, y: a, z: b}]]
+        assert pebble.wins_cover_game(unused, unused.free_vars, db, (a, zz), k)[0]
+    assert find_hom(q, q.free_vars, db, (zz,)) is None
+
+
 def test_unbounded_matches_oracle_on_randoms():
     rng = random.Random(977)
     for trial in range(220):
