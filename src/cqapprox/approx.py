@@ -108,6 +108,12 @@ def identify_overapprox(
     (cand into q and q into cand). A candidate that provably falls
     outside GHW(k) yields False; when membership cannot be settled
     within the size guard, PreconditionUnknownError is raised.
+
+    Membership is read literally, on cand as written: a candidate that
+    is only equivalent to a GHW(k) query (a cyclic query with an acyclic
+    core, say) yields False; pass core(cand) to ask up to equivalence.
+    identify_delta and eval_delta_filtered read their candidate the same
+    way.
     """
     if not _established_in_class(cand, k, cert):
         return False

@@ -10,6 +10,7 @@ and 3 for usage, input or I/O problems, and for any internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -113,6 +114,14 @@ def _tuple_arg(text: str | None) -> tuple:
     return parse_tuple(text) if text else ()
 
 
+def _member_arg(text: str | None, q: ConjunctiveQuery) -> tuple:
+    """The --tuple asked about: optional only for a Boolean query."""
+    if text is None and not q.is_boolean:
+        n = len(q.free_vars)
+        raise CqError(f"--tuple is required: the query has {n} free variable{'s' * (n != 1)}")
+    return _tuple_arg(text)
+
+
 def _family_dict(fam, full: bool) -> dict:
     d = {
         "anchors": {k.name: v.name for k, v in fam.anchors.items()},
@@ -168,7 +177,10 @@ def _emit(report: dict, as_json: bool, raw: str | None = None) -> int:
     return _VERDICT_EXIT[report["verdict"]]
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     top = _Parser(prog="cqapprox", description=__doc__)
     subs = top.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
@@ -269,8 +281,8 @@ def _run(args) -> tuple[str, dict | None, str | None]:
 
     if cmd == "eval-over":
         q = _load_query(args.query)
+        tup = _member_arg(args.tuple, q)
         db = _load_db(args.db)
-        tup = _tuple_arg(args.tuple)
         if args.deps:
             deps = _load_deps(args.deps)
             got = eval_overapprox_under(q, deps, db, tup, args.k,
@@ -378,9 +390,9 @@ def _run(args) -> tuple[str, dict | None, str | None]:
 
     if cmd == "eval-delta":
         q = _load_query(args.query)
+        tup = _member_arg(args.tuple, q)
         filt = _load_query(args.candidate)
         db = _load_db(args.db)
-        tup = _tuple_arg(args.tuple)
         got = eval_delta_filtered(q, filt, db, tup, args.k)
         return ("true" if got else "false"), None, None
 

@@ -25,11 +25,10 @@ from cqapprox.model import (
     CqError,
     Database,
     DependencyError,
-    ParseError,
+    VARIABLE,
     Term,
     Var,
     _check_arities,
-    _make_var,
     _parse_atom,
     _Tokens,
 )
@@ -101,43 +100,40 @@ class ChaseResult:
 
 
 def _parse_one(ts: _Tokens) -> Tgd | Egd:
-    body = [_parse_atom(ts, _make_var)]
+    body = [_parse_atom(ts)]
     while ts.peek() == ",":
         ts.take(",")
-        body.append(_parse_atom(ts, _make_var))
+        body.append(_parse_atom(ts))
     ts.take("->")
-    after_next = ts.items[ts.i + 1][0] if ts.i + 1 < len(ts.items) else ""
-    if after_next == "=":
-        line, col = ts.pos()
-        y = _make_var(ts.take(), line, col)
+    if ts.peek() and ts.toks[ts.i + 1] == "=":
+        y = ts.term()
         ts.take("=")
-        line, col = ts.pos()
-        z = _make_var(ts.take(), line, col)
+        at_z = ts.i
+        z = ts.term()
         ts.take(".")
         try:
             return Egd(tuple(body), (y, z))
         except CqError as err:
-            raise ParseError(str(err), line, col) from err
-    head = [_parse_atom(ts, _make_var)]
+            raise ts.error(str(err), at_z) from err
+    head = [_parse_atom(ts)]
     while ts.peek() == ",":
         ts.take(",")
-        head.append(_parse_atom(ts, _make_var))
+        head.append(_parse_atom(ts))
     ts.take(".")
     return Tgd(tuple(body), tuple(head))
 
 
 def parse_dependency(text: str) -> Tgd | Egd:
-    ts = _Tokens(text)
+    ts = _Tokens(text, VARIABLE)
     dep = _parse_one(ts)
     if ts.peek():
-        line, col = ts.pos()
-        raise ParseError(f"trailing input {ts.peek()!r}", line, col)
+        raise ts.error(f"trailing input {ts.peek()!r}", ts.i)
     return dep
 
 
 def parse_dependencies(text: str) -> tuple:
     """Parse a dependency file: any number of statements."""
-    ts = _Tokens(text)
+    ts = _Tokens(text, VARIABLE)
     out = []
     while ts.peek():
         out.append(_parse_one(ts))

@@ -105,10 +105,7 @@ class _Target:
         self.by_rel: dict[str, list[Atom]] = {}
         for f in facts:
             self.by_rel.setdefault(f.relation, []).append(f)
-        # the (kind, name) key gives Term order, and is cheaper than Term.__lt__
-        self.values = sorted(
-            {t for f in facts for t in f.args}, key=lambda t: (t.kind, t.name)
-        )
+        self.values = sorted({t for f in facts for t in f.args})
         self.eid = {t: k for k, t in enumerate(self.values)}
         self.sigs: dict[tuple, _Rows] = {}
         self.ids: dict[str, tuple[list[tuple], set[tuple]]] = {}

@@ -1,14 +1,19 @@
 """Core data model: terms, atoms, conjunctive queries, databases.
 
-Queries and databases are immutable values. Atoms are kept sorted and
-deduplicated under the canonical ordering (relation name, then argument
-names), so equality, hashing and serialization are deterministic.
+Queries and databases are immutable values. `Term` and `Atom` are named
+tuples, `(kind, name)` and `(relation, args)`, so they compare and hash
+in C, exactly as the plain tuples of their fields do (a Term equals
+`("var", name)`). Atoms are kept sorted and deduplicated under this
+canonical ordering (relation name, then arguments by kind and name), so
+equality, hashing and serialization are deterministic.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple
 
 
 class CqError(Exception):
@@ -44,8 +49,7 @@ VARIABLE = "var"
 CONSTANT = "const"
 
 
-@dataclass(frozen=True, order=True)
-class Term:
+class Term(NamedTuple):
     kind: str
     name: str
 
@@ -53,16 +57,18 @@ class Term:
         return f"{self.kind[0]}:{self.name}"
 
 
+_new = tuple.__new__  # a Term or Atom from its fields, skipping NamedTuple's __new__
+
+
 def Var(name: str) -> Term:
-    return Term(VARIABLE, name)
+    return _new(Term, (VARIABLE, name))
 
 
 def Const(name: str) -> Term:
-    return Term(CONSTANT, name)
+    return _new(Term, (CONSTANT, name))
 
 
-@dataclass(frozen=True, order=True)
-class Atom:
+class Atom(NamedTuple):
     relation: str
     args: tuple[Term, ...]
 
@@ -115,7 +121,8 @@ class ConjunctiveQuery:
     arities: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        atoms = tuple(sorted(set(self.atoms)))
+        # deduplicated in input order, which is often nearly sorted already
+        atoms = tuple(sorted(dict.fromkeys(self.atoms)))
         object.__setattr__(self, "atoms", atoms)
         for a in atoms:
             for t in a.args:
@@ -157,7 +164,7 @@ class Database:
     arities: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        facts = tuple(sorted(set(self.facts)))
+        facts = tuple(sorted(dict.fromkeys(self.facts)))
         object.__setattr__(self, "facts", facts)
         for a in facts:
             for t in a.args:
@@ -222,81 +229,85 @@ class GaifmanGraph:
 
 # --- parsing ----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+|->|:-|[(),.=]|\s+|#[^\n]*")
+# One token, then the whitespace and comments after it. A character that
+# starts no token yields an empty token there, as does the end of input.
+_TOKEN_RE = re.compile(r"([A-Za-z0-9_]+|->|:-|[(),.=]|(?=.)|\Z)(?:\s+|#[^\n]*)*", re.S)
+_SKIP_RE = re.compile(r"(?:\s+|#[^\n]*)*")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _VAR_RE = re.compile(r"[a-z_][A-Za-z0-9_]*\Z")
 _CONST_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 class _Tokens:
-    """Token stream with line/column tracking for error reporting."""
+    """The tokens of a text, ending in one empty token, and the terms
+    read from it: all of one kind (variables in rules, constants in
+    facts), one Term per name. Positions are found again only for an
+    error, by `error`."""
 
-    def __init__(self, text: str):
-        self.items: list[tuple[str, int, int]] = []
-        line, col = 1, 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            tok = m.group()
-            if not tok.isspace() and not tok.startswith("#"):
-                self.items.append((tok, line, col))
-            nl = tok.count("\n")
-            if nl:
-                line += nl
-                col = len(tok) - tok.rfind("\n")
-            else:
-                col += len(tok)
-            pos = m.end()
-        self.items.append(("", line, col))  # end marker
+    def __init__(self, text: str, kind: str):
+        self.text = text
+        self.start = _SKIP_RE.match(text).end()
+        self.toks: list[str] = _TOKEN_RE.findall(text, self.start)
         self.i = 0
+        self.kind = kind
+        self.terms: dict[str, Term] = {}
+        bad = self.toks.index("")
+        if bad < len(self.toks) - 1:
+            raise self.error(f"unexpected character {text[self._offset(bad)]!r}", bad)
+
+    def _offset(self, i: int) -> int:
+        return next(islice(_TOKEN_RE.finditer(self.text, self.start), i, None)).start(1)
+
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at the line and column of token i."""
+        off = self._offset(i)
+        return ParseError(message, self.text.count("\n", 0, off) + 1,
+                          off - self.text.rfind("\n", 0, off))
 
     def peek(self) -> str:
-        return self.items[self.i][0]
-
-    def pos(self) -> tuple[int, int]:
-        return self.items[self.i][1], self.items[self.i][2]
+        return self.toks[self.i]
 
     def take(self, expected: str | None = None) -> str:
-        tok, line, col = self.items[self.i]
+        tok = self.toks[self.i]
         if expected is not None and tok != expected:
-            shown = tok if tok else "end of input"
-            raise ParseError(f"expected {expected!r}, found {shown!r}", line, col)
+            shown = tok or "end of input"
+            raise self.error(f"expected {expected!r}, found {shown!r}", self.i)
         self.i += 1
         return tok
 
+    def term(self) -> Term:
+        tok = self.toks[self.i]
+        term = self.terms.get(tok)
+        if term is None:
+            if not (_VAR_RE if self.kind == VARIABLE else _CONST_RE).match(tok):
+                what = "variable (lowercase identifier)" if self.kind == VARIABLE else "constant"
+                raise self.error(f"expected {what}, found {tok!r}", self.i)
+            term = self.terms[tok] = _new(Term, (self.kind, tok))
+        self.i += 1
+        return term
 
-def _parse_atom(ts: _Tokens, make_term) -> Atom:
-    line, col = ts.pos()
+    def term_list(self) -> list[Term]:
+        """Take ``(t1, ..., tn)``, n >= 0."""
+        self.take("(")
+        out = []
+        if self.toks[self.i] != ")":
+            out.append(self.term())
+            while self.toks[self.i] == ",":
+                self.i += 1
+                out.append(self.term())
+        self.take(")")
+        return out
+
+
+def _parse_atom(ts: _Tokens) -> Atom:
+    start = ts.i
     rel = ts.take()
     if not _IDENT_RE.match(rel):
-        raise ParseError(f"expected relation name, found {rel!r}", line, col)
-    ts.take("(")
-    args = []
-    if ts.peek() != ")":
-        while True:
-            tline, tcol = ts.pos()
-            args.append(make_term(ts.take(), tline, tcol))
-            if ts.peek() != ",":
-                break
-            ts.take(",")
-    ts.take(")")
+        raise ts.error(f"expected relation name, found {rel!r}", start)
+    args = ts.term_list()
     if not args:
-        raise ParseError(f"relation {rel} needs at least one argument", line, col)
-    return Atom(rel, tuple(args))
-
-
-def _make_var(tok: str, line: int, col: int) -> Term:
-    if not _VAR_RE.match(tok):
-        raise ParseError(f"expected variable (lowercase identifier), found {tok!r}", line, col)
-    return Var(tok)
-
-
-def _make_const(tok: str, line: int, col: int) -> Term:
-    if not _CONST_RE.match(tok):
-        raise ParseError(f"expected constant, found {tok!r}", line, col)
-    return Const(tok)
+        raise ts.error(f"relation {rel} needs at least one argument", start)
+    return _new(Atom, (rel, tuple(args)))
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
@@ -305,78 +316,54 @@ def parse_query(text: str) -> ConjunctiveQuery:
     A head variable that never occurs in the body is accepted only if it
     occurs at least twice in the head ("unsafe head variable" otherwise).
     """
-    ts = _Tokens(text)
-    hline, hcol = ts.pos()
+    ts = _Tokens(text, VARIABLE)
     name = ts.take()
     if not _IDENT_RE.match(name):
-        raise ParseError(f"expected query name, found {name!r}", hline, hcol)
-    ts.take("(")
-    head: list[Term] = []
-    if ts.peek() != ")":
-        while True:
-            tline, tcol = ts.pos()
-            head.append(_make_var(ts.take(), tline, tcol))
-            if ts.peek() != ",":
-                break
-            ts.take(",")
-    ts.take(")")
+        raise ts.error(f"expected query name, found {name!r}", 0)
+    head = ts.term_list()
     ts.take(":-")
     atoms: list[Atom] = []
     while ts.peek() != ".":
-        atoms.append(_parse_atom(ts, _make_var))
+        atoms.append(_parse_atom(ts))
         if ts.peek() == ",":
             ts.take(",")
         elif ts.peek() != ".":
-            line, col = ts.pos()
             shown = ts.peek() or "end of input"
-            raise ParseError(f"expected ',' or '.', found {shown!r}", line, col)
+            raise ts.error(f"expected ',' or '.', found {shown!r}", ts.i)
     ts.take(".")
     if ts.peek():
-        line, col = ts.pos()
-        raise ParseError(f"trailing input {ts.peek()!r}", line, col)
+        raise ts.error(f"trailing input {ts.peek()!r}", ts.i)
 
     body_vars = {t for a in atoms for t in a.args}
     for v in head:
         if v not in body_vars and head.count(v) < 2:
-            raise ParseError(f"unsafe head variable {v.name}", hline, hcol)
+            raise ts.error(f"unsafe head variable {v.name}", 0)
     try:
         return ConjunctiveQuery(tuple(head), tuple(atoms), name)
     except ArityError as e:
-        raise ParseError(str(e), hline, hcol) from e
+        raise ts.error(str(e), 0) from e
 
 
 def parse_database(text: str) -> Database:
     """Parse a facts file: one fact ``R(c1,...,ck).`` per line, # comments."""
-    ts = _Tokens(text)
+    ts = _Tokens(text, CONSTANT)
     facts = []
     while ts.peek():
-        facts.append(_parse_atom(ts, _make_const))
+        facts.append(_parse_atom(ts))
         ts.take(".")
     try:
         return Database(tuple(facts))
     except ArityError as e:
-        raise ParseError(*_first_arity_clash(ts)) from e
-
-
-def _first_arity_clash(ts: _Tokens) -> tuple[str, int, int]:
-    """The first fact, in file order, whose arity differs from an earlier
-    fact of its relation: the message and its position. Called only
-    after Database found a clash, so the facts are read a second time
-    only then."""
-    ts.i = 0
-    arities: dict[str, int] = {}
-    while True:
-        line, col = ts.pos()
-        fact = _parse_atom(ts, _make_const)
-        ts.take(".")
-        seen = arities.setdefault(fact.relation, len(fact.args))
-        if seen != len(fact.args):
-            return (
-                f"relation {fact.relation} used with arities {seen} and "
-                f"{len(fact.args)} in database",
-                line,
-                col,
-            )
+        # point at the first fact, in file order, that clashes with an
+        # earlier one; fact n starts after the n-th '.'
+        arities: dict[str, int] = {}
+        n = next(n for n, f in enumerate(facts)
+                 if arities.setdefault(f.relation, len(f.args)) != len(f.args))
+        rel, arity = facts[n].relation, len(facts[n].args)
+        start = [i for i, tok in enumerate(ts.toks) if tok == "."][n - 1] + 1
+        raise ts.error(
+            f"relation {rel} used with arities {arities[rel]} and {arity} in database", start
+        ) from e
 
 
 def parse_tuple(text: str) -> tuple[Term, ...]:

@@ -41,9 +41,7 @@ def cover_number(bag, atoms, limit=None) -> int | None:
     need = frozenset(bag)
     if not need:
         return 0
-    sets = sorted(
-        {a.arg_set for a in atoms if a.arg_set & need}, key=lambda s: sorted(s)
-    )
+    sets = sorted({a.arg_set for a in atoms if a.arg_set & need}, key=sorted)
     top = len(sets) if limit is None else min(limit, len(sets))
     for p in range(1, top + 1):
         for combo in itertools.combinations(sets, p):

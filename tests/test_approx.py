@@ -117,6 +117,17 @@ def test_identify_invariant_under_coring_candidate():
         )
 
 
+def test_identify_reads_the_candidate_literally():
+    # class membership is decided on the candidate as written, not on
+    # its core: an equivalent cyclic candidate is not the width-1 answer
+    q = parse_query("q() :- E(x,x).")
+    cyclic = parse_query("q() :- E(x,y), E(y,z), E(z,x), E(x,x).")
+    assert equivalent(q, cyclic)
+    assert approx.identify_overapprox(q, cyclic, 1) is False
+    assert approx.identify_overapprox(q, q, 1) is True
+    assert approx.identify_overapprox(q, core(cyclic), 1) is True
+
+
 def test_identify_unverifiable_width_raises():
     big = _long_path(14)
     with pytest.raises(PreconditionUnknownError):

@@ -1,6 +1,10 @@
 """Exit codes, report formats, and witness round-trips of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -419,3 +423,60 @@ def test_json_report_schema(capsys, files):
     assert set(report) == {"command", "verdict", "witness", "flags", "elapsed_ms"}
     assert report["command"] == "contains"
     assert report["verdict"] == "true"
+
+
+def test_eval_over_without_tuple_names_the_flag(capsys, files):
+    code, _, err = run(capsys, "eval-over", "--query", files["qx"],
+                       "--db", files["c2_db"])
+    assert code == 3
+    assert "--tuple" in err and "1 free variable" in err
+    code, _, err = run(capsys, "eval-delta", "--query", files["qx"],
+                       "--candidate", files["qx"], "--db", files["c2_db"])
+    assert code == 3 and "--tuple" in err
+    # a Boolean query still needs none
+    code, _, _ = run(capsys, "eval-over", "--query", files["c2"],
+                     "--db", files["c2_db"])
+    assert code == 0
+
+
+# --- one parser per process ---------------------------------------------------
+
+
+def _fresh_report(argv):
+    """The JSON report of argv run in a new interpreter, without its time."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cqapprox.cli", *argv, "--json"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    report = json.loads(proc.stdout)
+    del report["elapsed_ms"]
+    return proc.returncode, report
+
+
+def test_repeated_main_calls_match_fresh_interpreters(capsys, files):
+    calls = [
+        ["width", "--query", files["triangle"]],  # k defaults to 3 here
+        ["identify-over", "--query", files["fig1_q"], "--candidate", files["fig1_qp"]],
+        ["eval", "--query", files["qx"], "--db", files["c2_db"], "--tuple", "a"],
+        ["eval", "--query", files["qx"], "--db", files["c2_db"]],  # all answers
+        ["width", "--query", files["path2"], "--k", "1"],
+        ["width", "--query", files["triangle"]],
+    ]
+    for argv in calls:
+        code, report, _ = run_json(capsys, *argv)
+        del report["elapsed_ms"]
+        assert (code, report) == _fresh_report(argv), argv
+    # the identify-over call ran at k = 1, not at width's default of 3
+    assert run_json(capsys, *calls[1])[0] == 0
+
+
+def test_usage_error_is_exit_3_on_every_call(capsys, files):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["core", "--query", files["triangle"], "--bogus"])
+        assert exc.value.code == 3
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    code, _, _ = run(capsys, "core", "--query", files["triangle"])
+    assert code == 0

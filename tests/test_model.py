@@ -1,10 +1,14 @@
 """Data model: parsing, serialization, canonical databases, disjoint
 conjunction, Gaifman components."""
 
+import copy
+import pickle
 import random
+import re
 
 import pytest
 
+from cqapprox.constraints import parse_dependencies
 from cqapprox.model import (
     ArityError,
     Atom,
@@ -13,6 +17,7 @@ from cqapprox.model import (
     CqError,
     Database,
     ParseError,
+    Term,
     Var,
     canonical_database,
     connected_components,
@@ -29,6 +34,70 @@ from cqapprox.model import (
 
 from _oracles import brute_find_hom, isomorphic
 from _support import c2, rand_cq, rand_db, triangle
+
+
+# --- Term and Atom contract --------------------------------------------------
+
+
+def test_term_and_atom_repr():
+    assert repr(Var("x")) == "v:x"
+    assert repr(Const("a")) == "c:a"
+    assert repr(Atom("R", (Var("x"), Const("a")))) == "R(x,a)"
+    assert repr((Var("x"), Const("a"))) == "(v:x, c:a)"
+
+
+def test_term_and_atom_fields():
+    x = Term("var", "x")
+    assert (x.kind, x.name) == ("var", "x")
+    assert x == Var("x") and Const("a").kind == "const"
+    a = Atom("R", (x, Const("a")))
+    assert a.relation == "R" and a.args == (Var("x"), Const("a"))
+    assert a.arg_set == frozenset({Var("x"), Const("a")})
+
+
+def test_term_and_atom_order_is_field_order():
+    rng = random.Random(3)
+    names = ["a", "b", "x", "y", "z", "a1", "B", "_", "0"]
+    terms = [Term(rng.choice(("var", "const")), rng.choice(names)) for _ in range(60)]
+    assert sorted(terms) == sorted(terms, key=lambda t: (t.kind, t.name))
+    atoms = [
+        Atom(rng.choice("PQR"), tuple(rng.choices(terms, k=rng.randint(1, 3))))
+        for _ in range(60)
+    ]
+
+    def field_key(a):
+        return a.relation, tuple((t.kind, t.name) for t in a.args)
+
+    assert sorted(atoms) == sorted(atoms, key=field_key)
+
+
+def test_term_and_atom_hash_as_their_field_tuples():
+    assert hash(Var("x")) == hash(("var", "x"))
+    assert Var("x") == ("var", "x")
+    a = Atom("E", (Var("x"), Var("y")))
+    assert hash(a) == hash(("E", (("var", "x"), ("var", "y"))))
+
+
+def test_term_and_atom_copy_and_pickle():
+    q = parse_query("q(x) :- E(x,y), P(y).")
+    db = parse_database("E(a,b). P(b).")
+    for value in (Var("x"), Const("a"), q.atoms[0], q, db):
+        for again in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert again == value and type(again) is type(value)
+            assert repr(again) == repr(value)
+    assert type(pickle.loads(pickle.dumps(q)).atoms[0].args[0]) is Term
+
+
+def test_disjoint_conjunction_side_keys_never_meet_terms():
+    # its union-find keys are ("a", term) and ("b", term); a Term is the
+    # tuple (kind, name), so variables named like the sides stay apart
+    q = parse_query("q(a) :- E(a,b), E(b,var).")
+    q2 = parse_query("q(var) :- E(var,a).")
+    both = disjoint_conjunction(q, q2)
+    assert len(both.free_vars) == 1 and len(both.atoms) == 3
+    assert len(both.variables) == 4
+    for side in (q, q2):
+        assert brute_find_hom(side, side.free_vars, both, both.free_vars) is not None
 
 
 def test_parse_simple_head():
@@ -55,6 +124,30 @@ def test_parse_reports_line_and_column():
         parse_query(text)
     assert e.value.line == 2
     assert "line 2" in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, line, col",
+    [
+        (parse_query, "# a comment\nq() :- E(x,y) $ E(y,x).\n",
+         "unexpected character '$'", 2, 15),
+        (parse_query, "q(x, Y) :-\n  E(x,Y).", "found 'Y'", 1, 6),
+        (parse_database, "R(a,b).\nR(b,c).\n  S(c, ->).\nR(c,d).\n",
+         "expected constant, found '->'", 3, 8),
+        (parse_dependencies, "E(x,y) -> E(y,x).\n# egds\nE(x,y), E(x,z) ->\n   y = Z.\n",
+         "found 'Z'", 4, 8),
+        (parse_query, "q() :- E(x,y),\n  E(y,z)\n",
+         "found 'end of input'", 3, 1),
+        (parse_database, "R(a,b).\nR(b", "expected ')', found 'end of input'", 2, 4),
+    ],
+    ids=["after-comment", "head-variable", "mid-database", "egd-second-variable",
+         "end-of-input", "end-of-input-database"],
+)
+def test_parse_error_line_and_column(parse, text, message, line, col):
+    with pytest.raises(ParseError, match=re.escape(message)) as e:
+        parse(text)
+    assert (e.value.line, e.value.col) == (line, col)
+    assert f"(line {line}, column {col})" in str(e.value)
 
 
 def test_parse_database_arity_clash_reports_offending_fact():
