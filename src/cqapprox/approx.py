@@ -287,43 +287,38 @@ def _minimal_cover_family(comps: list[ConjunctiveQuery]) -> list[ConjunctiveQuer
     return reps
 
 
-def _greedy_connected(p: ConjunctiveQuery) -> ConjunctiveQuery | None:
-    """The two-step deletion search on one connected Boolean component."""
-    # Step 1: delete atoms the plain game lets go of
-    qi = p
+def _delete_until_acyclic(qi: ConjunctiveQuery, guard: frozenset) -> ConjunctiveQuery | None:
+    """Delete atoms of qi, first one first, while the 1-cover game
+    constrained to guard still plays qi into what is left; core(qi) once
+    acyclic, None when no atom can go. An empty guard is the plain game.
+    Atoms holding all of a non-empty guard stay."""
     while ghw1_membership(qi) is None:
         for e in qi.atoms:
+            if guard and guard <= e.arg_set:
+                continue
             smaller = qi.without_atom(e)
-            if wins_cover_game(qi, (), smaller, (), 1)[0]:
-                assert find_hom(smaller, (), qi, ()) is not None
+            if constrained_wins_1(qi, guard, smaller, guard):
                 qi = smaller
                 break
         else:
-            break
-    if ghw1_membership(qi) is not None:
-        return core(qi)
+            return None
+    return core(qi)
 
-    # Step 2: paste at an adjacent pair, delete under the endpoint guard
-    g = gaifman(p)
-    for u, v in sorted(g.edges):
+
+def _greedy_connected(p: ConjunctiveQuery) -> ConjunctiveQuery | None:
+    """The two-step deletion search on one connected Boolean component:
+    plain deletion, then deletion from each pasted q_u # q_v under its
+    endpoint guard."""
+    built = _delete_until_acyclic(p, frozenset())
+    if built is not None:
+        return built
+    for u, v in sorted(gaifman(p).edges):
         hq = hash_query(p, u, v)
         if not wins_cover_game(p, (), hq.result, (), 1)[0]:
             continue
-        guard = {hq.u_image, hq.v_image}
-        qi = hq.result
-        while ghw1_membership(qi) is None:
-            for e in qi.atoms:
-                if hq.u_image in e.args and hq.v_image in e.args:
-                    continue
-                smaller = qi.without_atom(e)
-                if constrained_wins_1(qi, guard, smaller, guard):
-                    assert find_hom(smaller, (), qi, ()) is not None
-                    qi = smaller
-                    break
-            else:
-                break
-        if ghw1_membership(qi) is not None:
-            return core(qi)
+        built = _delete_until_acyclic(hq.result, frozenset((hq.u_image, hq.v_image)))
+        if built is not None:
+            return built
     return None
 
 

@@ -213,15 +213,6 @@ class GaifmanGraph:
     nodes: frozenset[Term]
     edges: frozenset[tuple[Term, Term]]  # each pair stored sorted
 
-    def neighbors(self, v: Term) -> set[Term]:
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
     def adjacent(self, u: Term, v: Term) -> bool:
         p = (u, v) if u <= v else (v, u)
         return p in self.edges

@@ -3,8 +3,9 @@
 Decompositions cover only the existentially quantified variables; the
 width of a bag is the least number of query atoms whose argument sets
 jointly cover it. GHW(1) membership (acyclicity) is decided exactly by
-GYO reduction; small instances get an exact width via elimination-order
-dynamic programming over variable subsets.
+the weight of a maximum spanning forest of the hyperedge intersection
+graph, which is also the join tree; small cyclic instances get an exact
+width via elimination-order dynamic programming over variable subsets.
 """
 
 from __future__ import annotations
@@ -63,41 +64,19 @@ def _existential_edges(q: ConjunctiveQuery):
     return out
 
 
-def _gyo_acyclic(edges) -> bool:
-    """GYO reduction: drop lone-occurrence vertices and contained edges;
-    acyclic iff everything reduces away."""
-    work = [set(e) for e in edges]
-    changed = True
-    while changed:
-        changed = False
-        counts: dict[Term, int] = {}
-        for e in work:
-            for v in e:
-                counts[v] = counts.get(v, 0) + 1
-        for e in work:
-            lone = {v for v in e if counts[v] == 1}
-            if lone:
-                e -= lone
-                changed = True
-        for i, e in enumerate(work):
-            if any(j != i and e <= f for j, f in enumerate(work)):
-                work.pop(i)
-                changed = True
-                break
-    return not any(work)
-
-
 def ghw1_membership(q: ConjunctiveQuery) -> TreeDecomposition | None:
     """A width-1 decomposition when q is acyclic, else None.
 
-    The join tree comes from a maximum-weight spanning forest of the
-    hyperedge intersection graph (Maier); the running-intersection total
-    re-checks the GYO verdict before the decomposition is returned.
+    Kruskal picks a maximum-weight spanning forest of the hyperedge
+    intersection graph, a pair of existential argument sets weighing the
+    size of their intersection. For each variable v, the forest edges
+    between sets holding v form a forest on its occ(v) sets, so the
+    weight is at most sum(occ(v) - 1), with equality iff each v's sets
+    form a subtree: iff the forest is a join tree. An acyclic query has
+    a join tree, which weighs the sum, so its maximum forest reaches the
+    sum too (Maier 1983).
     """
     edges = _existential_edges(q)
-    if not _gyo_acyclic(edges):
-        return None
-
     # weight of the chosen forest must reach sum over vars of (occurrences-1)
     occ: dict[Term, int] = {}
     for e in edges:
@@ -128,7 +107,8 @@ def ghw1_membership(q: ConjunctiveQuery) -> TreeDecomposition | None:
             parent_of[b] = a
         parent_of[j] = i
         total += -negw
-    assert total == target, "GYO and spanning-forest verdicts disagree"
+    if total < target:
+        return None
 
     parent: dict[int, int | None] = {0: None}
     bags: dict[int, frozenset[Term]] = {0: frozenset()}
@@ -176,23 +156,15 @@ def validate_decomposition(q: ConjunctiveQuery, td: TreeDecomposition, k: int) -
         if ex and not any(ex <= bag for bag in td.bags.values()):
             return False
 
-    # per-variable connectivity
-    for v in evars:
-        holding = [n for n in nodes if v in td.bags[n]]
-        if len(holding) <= 1:
-            continue
-        hold = set(holding)
-        stack = [holding[0]]
-        reached = {holding[0]}
-        while stack:
-            n = stack.pop()
-            nbrs = [td.parent[n]] + [m for m in nodes if td.parent[m] == n]
-            for m in nbrs:
-                if m in hold and m not in reached:
-                    reached.add(m)
-                    stack.append(m)
-        if reached != hold:
-            return False
+    # per-variable connectivity: in a tree, the nodes holding v are
+    # connected iff at most one of them has no parent holding v
+    tops: set[Term] = set()
+    for n, bag in td.bags.items():
+        p = td.parent[n]
+        for v in bag if p is None else bag - td.bags[p]:
+            if v in tops:
+                return False
+            tops.add(v)
 
     for bag in td.bags.values():
         if bag and cover_number(bag, q.atoms, limit=k) is None:
@@ -206,11 +178,16 @@ _GHW_VAR_GUARD = 12
 def compute_ghw(q: ConjunctiveQuery, kmax: int) -> int | None:
     """Exact generalized hypertreewidth, or None when it exceeds kmax.
 
-    Dynamic program over subsets of existential variables: the last
-    variable eliminated within a subset determines a bag (itself plus its
-    neighborhood through already-eliminated variables), and the cover
-    number of that bag feeds the running maximum.
+    An acyclic query (ghw1_membership) has width 1 at any size. A cyclic
+    one goes to a dynamic program over subsets of existential variables:
+    the last variable eliminated within a subset determines a bag (itself
+    plus its neighborhood through already-eliminated variables), and the
+    cover number of that bag feeds the running maximum. Only that search
+    is guarded: a cyclic query with more than 12 existential variables
+    raises BudgetError.
     """
+    if ghw1_membership(q) is not None:
+        return 1 if kmax >= 1 else None
     evars = sorted(q.existential_vars)
     n = len(evars)
     if n > _GHW_VAR_GUARD:
@@ -218,8 +195,6 @@ def compute_ghw(q: ConjunctiveQuery, kmax: int) -> int | None:
             f"exact width search supports at most {_GHW_VAR_GUARD} "
             f"existential variables, got {n}"
         )
-    if n == 0:
-        return 1 if kmax >= 1 else None
 
     idx = {v: i for i, v in enumerate(evars)}
     adj = [0] * n
@@ -273,8 +248,7 @@ def compute_ghw(q: ConjunctiveQuery, kmax: int) -> int | None:
         best = {s: w for s, w in nxt.items() if w <= kmax}
         if not best:
             return None
-    full = best.get((1 << n) - 1)
-    return max(full, 1) if full is not None else None
+    return best.get((1 << n) - 1)
 
 
 # --- certificate files --------------------------------------------------------

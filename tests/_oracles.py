@@ -310,6 +310,54 @@ def oracle_ghw(q: ConjunctiveQuery):
     return best
 
 
+def reference_validate_decomposition(q: ConjunctiveQuery, td, k: int) -> bool:
+    """The three decomposition conditions, checked one variable at a time:
+    a single rooted tree, every atom's existential arguments inside one
+    bag of existential variables, each variable's nodes connected (a
+    search over the tree's edges), each bag covered by at most k atoms."""
+    evars = q.existential_vars
+    nodes = set(td.parent)
+    if set(td.bags) != nodes:
+        return False
+    if nodes:
+        if sum(1 for p in td.parent.values() if p is None) != 1:
+            return False
+        for n in nodes:
+            seen = set()
+            while n is not None:
+                if n in seen or n not in nodes:
+                    return False
+                seen.add(n)
+                n = td.parent[n]
+    if any(not bag <= evars for bag in td.bags.values()):
+        return False
+    for a in q.atoms:
+        ex = frozenset(a.args) & evars
+        if ex and not any(ex <= bag for bag in td.bags.values()):
+            return False
+    for v in evars:
+        holding = [n for n in nodes if v in td.bags[n]]
+        if len(holding) <= 1:
+            continue
+        hold = set(holding)
+        stack = [holding[0]]
+        reached = {holding[0]}
+        while stack:
+            n = stack.pop()
+            nbrs = [td.parent[n]] + [m for m in nodes if td.parent[m] == n]
+            for m in nbrs:
+                if m in hold and m not in reached:
+                    reached.add(m)
+                    stack.append(m)
+        if reached != hold:
+            return False
+    for bag in td.bags.values():
+        cover = brute_cover_number(bag, q.atoms)
+        if bag and (cover is None or cover > k):
+            return False
+    return True
+
+
 # --- dependencies by exhaustive trigger enumeration ---------------------------
 
 

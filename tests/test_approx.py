@@ -129,9 +129,17 @@ def test_identify_reads_the_candidate_literally():
 
 
 def test_identify_unverifiable_width_raises():
-    big = _long_path(14)
+    big = directed_cycle(14)
     with pytest.raises(PreconditionUnknownError):
         approx.identify_overapprox(single_edge, big, 2)
+
+
+def test_long_acyclic_candidate_is_decided_past_the_width_guard():
+    # acyclicity settles membership before the exact search's size guard
+    big = _long_path(14)
+    assert approx.identify_overapprox(big, big, 2) is True
+    assert approx.identify_overapprox(single_edge, big, 2) is False
+    assert approx.identify_delta(single_edge, big, 2) is False
 
 
 def test_identify_invalid_certificate_raises():
@@ -440,7 +448,7 @@ def test_delta_cyclic_candidate_is_false():
 
 def test_delta_unverifiable_width_raises():
     with pytest.raises(PreconditionUnknownError):
-        approx.identify_delta(single_edge, _long_path(14), 2)
+        approx.identify_delta(single_edge, directed_cycle(14), 2)
 
 
 def test_delta_excludes_overapproximations():

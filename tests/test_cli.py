@@ -12,6 +12,7 @@ from cqapprox import cli
 from cqapprox.cli import main
 from cqapprox.hom import equivalent, evaluate
 from cqapprox.model import parse_database, parse_query
+from cqapprox.width import parse_decomposition, validate_decomposition
 
 from _support import fig1_qprime
 
@@ -383,11 +384,23 @@ def test_width_command(capsys, files):
 
 
 def test_width_guard_is_inconclusive(capsys, files, tmp_path):
-    long = " , ".join(f"E(v{i},v{i + 1})" for i in range(14))
-    p = tmp_path / "long.cq"
-    p.write_text(f"q() :- {long}.")
+    cycle = " , ".join(f"E(v{i},v{(i + 1) % 14})" for i in range(14))
+    p = tmp_path / "cycle.cq"
+    p.write_text(f"q() :- {cycle}.")
     code, out, err = run(capsys, "width", "--query", str(p), "--k", "2")
     assert code == 2 and "inconclusive" in err
+
+
+def test_width_of_long_acyclic_query_is_decided(capsys, tmp_path):
+    # the exact search's size guard does not apply to acyclic queries
+    code, out, _ = run(capsys, "gen", "qprime:4")
+    assert code == 0
+    p = tmp_path / "qp4.cq"
+    p.write_text(out)
+    code, report, _ = run_json(capsys, "width", "--query", str(p))
+    assert code == 0 and report["witness"]["ghw"] == 1
+    td = parse_decomposition(report["witness"]["decomposition"])
+    assert validate_decomposition(parse_query(out), td, 1)
 
 
 def test_gen_lists_and_emits(capsys, files):

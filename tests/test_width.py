@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from cqapprox.model import BudgetError, Term, Var, disjoint_conjunction, parse_query
+from cqapprox.gen import gen_qn_prime
+from cqapprox.model import (
+    Atom,
+    BudgetError,
+    ConjunctiveQuery,
+    Term,
+    Var,
+    disjoint_conjunction,
+    parse_query,
+)
 from cqapprox.width import (
     TreeDecomposition,
     compute_ghw,
@@ -101,8 +110,18 @@ def test_compute_ghw_guard():
     q = rand_cq(random.Random(0), max_atoms=14, max_vars=20)
     while len(q.existential_vars) <= 12:
         q = rand_cq(random.Random(1), max_atoms=20, max_vars=20)
+    assert ghw1_membership(q) is None
     with pytest.raises(BudgetError):
         compute_ghw(q, 2)
+
+
+def test_compute_ghw_guard_spares_acyclic_queries():
+    vs = [Var(f"p{i}") for i in range(15)]
+    long_path = ConjunctiveQuery((), tuple(Atom("E", (a, b)) for a, b in zip(vs, vs[1:])))
+    for q in (long_path, gen_qn_prime(4)):
+        assert len(q.existential_vars) > 12
+        assert compute_ghw(q, 2) == 1
+        assert compute_ghw(q, 0) is None
 
 
 def test_compute_ghw_matches_permutation_oracle():
