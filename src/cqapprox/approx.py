@@ -282,8 +282,6 @@ def _minimal_cover_family(comps: list[ConjunctiveQuery]) -> list[ConjunctiveQuer
                 del reps[i]
                 changed = True
                 break
-    for comp in comps:
-        assert any(wins_cover_game(comp, (), p, (), 1)[0] for p in reps)
     return reps
 
 
@@ -340,9 +338,7 @@ def greedy_ghw1_overapprox(q: ConjunctiveQuery) -> ConjunctiveQuery | None:
         if built is None:
             return None
         parts.append(built)
-    out = functools.reduce(disjoint_conjunction, parts)
-    assert ghw1_membership(out) is not None
-    return out
+    return functools.reduce(disjoint_conjunction, parts)
 
 
 # --- Δ-approximations -----------------------------------------------------

@@ -58,7 +58,7 @@ from cqapprox.pebble import (
     wins_cover_game,
 )
 from cqapprox.width import (
-    compute_ghw,
+    _ghw,
     ghw1_membership,
     parse_decomposition,
     serialize_decomposition,
@@ -177,6 +177,23 @@ def _emit(report: dict, as_json: bool, raw: str | None = None) -> int:
     return _VERDICT_EXIT[report["verdict"]]
 
 
+# add_argument keywords per flag
+_FILE = {"metavar": "F"}
+_FLAGS = {
+    "--query": _FILE,
+    "--candidate": _FILE,
+    "--db": _FILE,
+    "--deps": _FILE,
+    "--cert": _FILE,
+    "--tuple": {"metavar": "c1,c2", "default": None},
+    "--k": {"type": int, "default": 1, "metavar": "N"},
+    "--cmax": {"type": int, "default": 8, "metavar": "N"},
+    "--rounds": {"type": int, "default": None, "metavar": "N"},
+    "--max-depth": {"type": int, "default": 16, "metavar": "N"},
+    "--budget": {"type": int, "default": 50_000, "metavar": "N"},
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The argument parser, built once per process: parse_args keeps no
@@ -185,32 +202,11 @@ def _build_parser() -> _Parser:
     subs = top.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
     def add(name, help_, *flags):
+        """A subcommand taking `flags`; a trailing "!" marks one required."""
         p = subs.add_parser(name, help=help_)
         for flag in flags:
-            required = flag.endswith("!")
-            flag = flag.rstrip("!")
-            if flag == "--query":
-                p.add_argument("--query", required=required, metavar="F")
-            elif flag == "--candidate":
-                p.add_argument("--candidate", required=required, metavar="F")
-            elif flag == "--db":
-                p.add_argument("--db", required=required, metavar="F")
-            elif flag == "--tuple":
-                p.add_argument("--tuple", metavar="c1,c2", default=None)
-            elif flag == "--k":
-                p.add_argument("--k", type=int, default=1, metavar="N")
-            elif flag == "--cmax":
-                p.add_argument("--cmax", type=int, default=8, metavar="N")
-            elif flag == "--rounds":
-                p.add_argument("--rounds", type=int, default=None, metavar="N")
-            elif flag == "--deps":
-                p.add_argument("--deps", required=required, metavar="F")
-            elif flag == "--max-depth":
-                p.add_argument("--max-depth", type=int, default=16, metavar="N")
-            elif flag == "--cert":
-                p.add_argument("--cert", metavar="F")
-            elif flag == "--budget":
-                p.add_argument("--budget", type=int, default=50_000, metavar="N")
+            opt = flag.rstrip("!")
+            p.add_argument(opt, required=flag != opt, **_FLAGS[opt])
         p.add_argument("--json", action="store_true")
         return p
 
@@ -413,14 +409,13 @@ def _run(args) -> tuple[str, dict | None, str | None]:
 
     if cmd == "width":
         q = _load_query(args.query)
-        got = compute_ghw(q, args.k)
+        td = ghw1_membership(q)
+        got = _ghw(q, args.k, td)
         if got is None:
             return "false", {"bound": args.k}, None
         witness = {"ghw": got}
-        if got <= 1:
-            td = ghw1_membership(q)
-            if td is not None:
-                witness["decomposition"] = serialize_decomposition(td)
+        if td is not None:
+            witness["decomposition"] = serialize_decomposition(td)
         return "true", witness, None
 
     raise CqError(f"unhandled command {cmd}")  # pragma: no cover

@@ -4,8 +4,9 @@ The chase rewrites a query until it satisfies the dependencies: egds
 identify variables (finite, unique result, with the witnessing
 homomorphism h onto the result), tgds add atoms with fresh nulls in
 fair breadth-first rounds up to a depth cap. One generator, `_triggers`,
-serves satisfies, each egd step and each tgd round, joining bodies and
-checking heads over one `hom._Target` per instance. Containment and
+serves satisfies, each egd step and each tgd round: over one
+`hom._Target` per instance, `_Target.join` matches each body and checks
+each tgd head with every frontier slot bound. Containment and
 overapproximation evaluation under constraints reduce to homomorphism
 and cover-game checks against the chased query; for guarded tgds and a
 satisfying database the game can skip the chase entirely.
@@ -17,7 +18,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from cqapprox.hom import Hom, _atoms_of, _find_hom, _Target, find_hom
+from cqapprox.hom import Hom, _atoms_of, _Target, find_hom
 from cqapprox.model import (
     ArityError,
     Atom,
@@ -183,18 +184,19 @@ def _triggers(facts, deps):
                     yield dep, {v: values[m[s]] for v, s in slot.items()}
             continue
         frontier = tuple(sorted(dep.frontier))
-        head_q = ConjunctiveQuery(frontier, dep.head)
+        head_slot = {x: s for s, x in enumerate(frontier)}
+        for a in dep.head:
+            for t in a.args:
+                head_slot.setdefault(t, len(head_slot))
+        unbound = [None] * (len(head_slot) - len(frontier))
         seen = set()
         for m in matches:
             key = tuple(m[slot[x]] for x in frontier)
             if key in seen:
                 continue
             seen.add(key)
-            image = tuple(values[i] for i in key)
-            # head_q has no variable outside its atoms, so the target
-            # object itself is never read
-            if _find_hom(head_q, frontier, None, image, target) is None:
-                yield dep, dict(zip(frontier, image))
+            if next(target.join(dep.head, head_slot, [*key, *unbound]), None) is None:
+                yield dep, {x: values[i] for x, i in zip(frontier, key)}
 
 
 def satisfies(inst, deps) -> bool:

@@ -1,22 +1,23 @@
 """Homomorphism search, CQ evaluation, containment, and cores.
 
-`_Target` is the one place where a target is interned (ids in canonical
-order, so id order is `Term` order) and indexed; each index is built on
-first use and shared by every search into that target. Two algorithms
-read it, each for its own job:
+`_Target` is the one place where a target is interned and indexed. It
+holds one interned form, each fact once as a row of element ids per
+relation (ids in canonical order, so id order is `Term` order); every
+index is built from those rows on first use and shared by every search
+into that target. Two algorithms read it, each for its own job:
 
-- `_Target.join` lists every homomorphism, for the cover game's answers
-  and the chase's triggers: a nested-loop join over id rows in the
-  given atom order, a fully bound atom being one set lookup. Listing
-  them with `_Search` would pay an O(|domain|) assign, propagate and
-  undo at every node; built so, the game's answers kept a 15-s
-  `cli_mix` benchmark run going past 300 s.
+- `_Target.join` lists homomorphisms, for the cover game's answers, the
+  chase's triggers and each tgd head check (every frontier slot bound):
+  a nested-loop join over id rows in the given atom order, a fully bound
+  atom being one set lookup. Listing them with `_Search` would pay an
+  O(|domain|) assign, propagate and undo at every node; built so, the
+  game's answers kept a 15-s `cli_mix` benchmark run going past 300 s.
 - `_Search` finds a first homomorphism, for find_hom and core, and lists
   endomorphisms. It is exact backtracking that keeps generalized arc
   consistency by support counting (AC-4, Mohr & Henderson 1986):
-  - The target rows fitting a source atom (its relation, its
-    repetition pattern and its anchored positions) are built once per
-    such signature and indexed per variable slot and value.
+  - The id rows fitting a source atom (its relation, its repetition
+    pattern and its anchored positions) are selected once per such
+    signature and indexed per variable slot and value.
   - Every (atom, slot, value) keeps a count of live rows. Removing a
     value from a domain kills its rows; a count that falls to 0 removes
     that value from the slot's variable. Every change after the initial
@@ -26,12 +27,15 @@ read it, each for its own job:
 The next variable is always a most-constrained one (fewest values, then
 canonical order) and values are tried in canonical order. The greatest
 arc-consistent state is unique, so witnesses do not depend on the order
-in which propagation reaches it: they are deterministic.
+in which propagation reaches it: they are deterministic. find_hom and
+core share one solver, `_solve`, which solves each connected component
+of the source once per key (up to renaming), building its `_Search` on
+first use.
 
 core() computes a minimal retract (Hell & Nešetřil 1992). For the
-current query it builds one propagated state per source component, with
-the query itself as target, and tests an atom by dropping that fact from
-the state, propagating, searching, and undoing back to the mark. On
+current query it keeps one propagated state per component key, with the
+query itself as target, and tests an atom by dropping that fact from
+the states, propagating, searching, and undoing back to the mark. On
 success it jumps to the image of the homomorphism found and repeats. An
 atom once shown non-removable is never tested again: if q ↛ q − b, no
 image I ⊆ q of q that contains b maps into I − b, since q → I → I − b
@@ -96,33 +100,32 @@ def _anchor_map(src_tuple, tgt_tuple):
 
 
 class _Target:
-    """A target's facts, interned and indexed once for every search into
-    it: facts per relation, element ids in canonical order, the fitting
-    rows per signature for `_Search`, and the id rows per relation for
-    `join`, each built on first use."""
+    """A target's facts, interned once as id rows per relation (element
+    ids in canonical order) and indexed for every search into it: the
+    fitting rows per signature for `_Search` and a row set per relation
+    for `join`, each built on first use."""
 
     def __init__(self, facts):
-        self.by_rel: dict[str, list[Atom]] = {}
-        for f in facts:
-            self.by_rel.setdefault(f.relation, []).append(f)
         self.values = sorted({t for f in facts for t in f.args})
-        self.eid = {t: k for k, t in enumerate(self.values)}
+        self.eid = eid = {t: k for k, t in enumerate(self.values)}
+        self.rels: dict[str, list[tuple]] = {}
+        for f in facts:
+            self.rels.setdefault(f.relation, []).append(tuple(map(eid.__getitem__, f.args)))
         self.sigs: dict[tuple, _Rows] = {}
-        self.ids: dict[str, tuple[list[tuple], set[tuple]]] = {}
+        self.sets: dict[str, set[tuple]] = {}
 
     def rows(self, relation, pattern) -> _Rows:
         key = (relation, pattern)
         if key not in self.sigs:
-            self.sigs[key] = _Rows(self.by_rel.get(relation, ()), pattern, self)
+            self.sigs[key] = _Rows(self.rels.get(relation, []), pattern, self)
         return self.sigs[key]
 
     def id_rows(self, relation) -> tuple[list[tuple], set[tuple]]:
         """The relation's facts as id tuples, in fact order and as a set."""
-        if relation not in self.ids:
-            eid = self.eid.__getitem__
-            rows = [tuple(map(eid, f.args)) for f in self.by_rel.get(relation, ())]
-            self.ids[relation] = (rows, set(rows))
-        return self.ids[relation]
+        rows = self.rels.get(relation, [])
+        if relation not in self.sets:
+            self.sets[relation] = set(rows)
+        return rows, self.sets[relation]
 
     def join(self, atoms, slot, m):
         """Yield every homomorphism from `atoms` into the facts extending m.
@@ -189,15 +192,17 @@ class _Rows:
 
     A signature is a relation plus a pattern: per argument position,
     either the anchored target value or the number of the variable slot
-    (slots numbered by first occurrence). `rows[r]` holds the value ids of
-    fact `facts[r]` per slot, `hits[j]` maps a value id to the rows
-    holding it in slot j, and `counts[j]` counts them.
+    (slots numbered by first occurrence). `ids[r]` is the id row of the
+    r-th fitting fact and `rows[r]` its values per slot (the same list
+    when nothing is anchored or repeated), `hits[j]` maps a value id to
+    the rows holding it in slot j, and `counts[j]` counts them.
     """
 
-    __slots__ = ("facts", "rows", "hits", "counts", "at")
+    __slots__ = ("ids", "rows", "hits", "counts", "at")
 
-    def __init__(self, facts, pattern, target):
-        anchored = [(p, t) for p, t in enumerate(pattern) if not isinstance(t, int)]
+    def __init__(self, ids, pattern, target):
+        eid = target.eid
+        anchored = [(p, eid.get(t, -1)) for p, t in enumerate(pattern) if not isinstance(t, int)]
         first: dict[int, int] = {}
         repeats = []
         for p, s in enumerate(pattern):
@@ -207,17 +212,18 @@ class _Rows:
                 else:
                     first[s] = p
         if anchored or repeats:
-            facts = [
-                f
-                for f in facts
-                if all(f.args[p] == t for p, t in anchored)
-                and all(f.args[p] == f.args[q] for p, q in repeats)
+            ids = [
+                row
+                for row in ids
+                if all(row[p] == v for p, v in anchored)
+                and all(row[p] == row[q] for p, q in repeats)
             ]
-        self.facts = facts
-        eid = target.eid
-        pos = tuple(first.values())
-        self.rows = rows = [tuple(eid[f.args[p]] for p in pos) for f in facts]
-        self.hits = [{} for _ in pos]
+            pos = tuple(first.values())
+            self.rows = rows = [tuple([row[p] for p in pos]) for row in ids]
+        else:
+            self.rows = rows = ids
+        self.ids = ids
+        self.hits = [{} for _ in first]
         for r, row in enumerate(rows):
             for hits, val in zip(self.hits, row):
                 if val in hits:
@@ -236,10 +242,11 @@ class _Rows:
             self.counts.append(cnt)
         self.at = None
 
-    def row_of(self, fact) -> int | None:
+    def row_of(self, row) -> int | None:
+        """The number of the fitting fact with id row `row`, or None."""
         if self.at is None:
-            self.at = {f: r for r, f in enumerate(self.facts)}
-        return self.at.get(fact)
+            self.at = {f: r for r, f in enumerate(self.ids)}
+        return self.at.get(row)
 
 
 class _Search:
@@ -255,7 +262,7 @@ class _Search:
 
     def __init__(self, atoms, base, target: _Target):
         self.base = dict(base)
-        self.values = target.values
+        self.values, self.eid = target.values, target.eid
         self.vars = sorted({t for a in atoms for t in a.args} - set(self.base))
         vid = {v: k for k, v in enumerate(self.vars)}
         self.abits = max(1, len(atoms).bit_length())
@@ -371,8 +378,9 @@ class _Search:
         Undo with `undo(mark)`, taking the mark from `len(self.trail)`.
         """
         queue: deque[int] = deque()
+        row = tuple(map(self.eid.get, fact.args))
         for i in self.by_rel.get(fact.relation, ()):
-            r = self.sig[i].row_of(fact)
+            r = self.sig[i].row_of(row)
             if r is not None and not self._kill(i, (r,), queue, None):
                 return False
         return self._propagate(queue, None)
@@ -470,17 +478,9 @@ def _find_hom(source, src_tuple, target, tgt_tuple, tgt: _Target) -> Hom | None:
     base = _anchor_map(src_tuple, tgt_tuple)
     if base is None:
         return None
-    mapping: dict[Term, Term] = dict(base)
-    solved: dict[tuple, list] = {}
-    for comp_atoms, order in _split_components(_atoms_of(source), base):
-        key = _component_key(comp_atoms, order, base)
-        if key not in solved:
-            sol = next(_Search(comp_atoms, base, tgt).solutions(), None)
-            if sol is None:
-                return None
-            solved[key] = [sol[v] for v in order]
-        mapping.update(zip(order, solved[key]))
-
+    mapping = _solve(_split_components(_atoms_of(source), base), {}, base, tgt)
+    if mapping is None:
+        return None
     rest = _elements_of(source) - set(mapping)
     if rest:
         pool = _elements_of(target) | set(tgt_tuple)
@@ -493,9 +493,12 @@ def _find_hom(source, src_tuple, target, tgt_tuple, tgt: _Target) -> Hom | None:
 def _split_components(atoms, base):
     """Group atoms by connected component of their unanchored terms.
 
-    Yields (atoms, var order) pairs; fully anchored atoms form their own
-    singleton groups. Order of unanchored vars is first occurrence in the
-    component's sorted atom list, which _component_key relies on.
+    Yields (atoms, var order, key) triples; fully anchored atoms form
+    their own singleton groups. The var order is first occurrence in the
+    component's sorted atom list, and the key is the component with each
+    unanchored var replaced by its number in that order and each anchored
+    one by its target value, so components with equal keys have the same
+    homomorphisms up to that renaming.
     """
     sets = _UnionFind()
     for a in atoms:
@@ -509,32 +512,45 @@ def _split_components(atoms, base):
         rep = sets.find(free[0]) if free else None
         groups.setdefault(rep, []).append(a)
 
-    anchored_only = groups.pop(None, [])
-    for a in anchored_only:
-        yield [a], []
-    for rep in sorted(groups, key=lambda r: groups[r][0]):
-        comp = sorted(groups[rep])
-        order: list[Term] = []
-        seen = set()
-        for a in comp:
-            for t in a.args:
-                if t not in base and t not in seen:
-                    seen.add(t)
-                    order.append(t)
-        yield comp, order
-
-
-def _component_key(comp_atoms, order, base):
-    """Canonical form: unanchored vars numbered by first occurrence,
-    anchored vars replaced by their target value."""
-    index = {v: i for i, v in enumerate(order)}
-    out = []
-    for a in comp_atoms:
-        sig = tuple(
-            ("v", index[t]) if t in index else ("a", base[t]) for t in a.args
+    comps = [[a] for a in groups.pop(None, [])]
+    comps += [sorted(groups[rep]) for rep in sorted(groups, key=lambda r: groups[r][0])]
+    for comp in comps:
+        index: dict[Term, int] = {}
+        key = tuple(
+            (a.relation, tuple(
+                base[t] if t in base else index.setdefault(t, len(index)) for t in a.args
+            ))
+            for a in comp
         )
-        out.append((a.relation, sig))
-    return tuple(out)
+        yield comp, list(index), key
+
+
+def _solve(comps, states, base, tgt: _Target, drop=None) -> dict | None:
+    """The first homomorphism of each component into tgt, merged into one
+    mapping extending base, or None if some component has none.
+
+    Components sharing a key are solved once. A key's `_Search` is built
+    on its first use and kept in `states`; with `drop`, that target fact
+    is dropped from each search for the solve and restored after.
+    """
+    mapping = dict(base)
+    solved: dict[tuple, list] = {}
+    for atoms, order, key in comps:
+        if key not in solved:
+            if key not in states:
+                states[key] = _Search(atoms, base, tgt)
+            search = states[key]
+            if drop is None:
+                sol = next(search.solutions(), None)
+            else:
+                mark = len(search.trail)
+                sol = next(search.solutions(), None) if search.drop(drop) else None
+                search.undo(mark)
+            if sol is None:
+                return None
+            solved[key] = [sol[v] for v in order]
+        mapping.update(zip(order, solved[key]))
+    return mapping
 
 
 def evaluate(q: ConjunctiveQuery, db: Database) -> set:
@@ -542,23 +558,18 @@ def evaluate(q: ConjunctiveQuery, db: Database) -> set:
     check_schemas_agree(q, db)
     if q.is_boolean:
         return {()} if find_hom(q, (), db, ()) is not None else set()
-    adom = sorted(db.adom)
+    index = _Target(db.facts)
     distinct = sorted(set(q.free_vars))
     cands = []
     for v in distinct:
-        occ = [
-            (a, p) for a in q.atoms for p, t in enumerate(a.args) if t == v
-        ]
-        if not occ:
-            cands.append(adom)
-            continue
         cand = None
-        for a, p in occ:
-            here = {f.args[p] for f in db.facts if f.relation == a.relation}
-            cand = here if cand is None else cand & here
-        cands.append(sorted(cand))
+        for a in q.atoms:
+            for p, t in enumerate(a.args):
+                if t == v:
+                    here = {row[p] for row in index.rels.get(a.relation, [])}
+                    cand = here if cand is None else cand & here
+        cands.append(index.values if cand is None else [index.values[i] for i in sorted(cand)])
 
-    index = _Target(db.facts)
     answers = set()
     for combo in itertools.product(*cands):
         assign = dict(zip(distinct, combo))
@@ -597,42 +608,20 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     fixed: set[Atom] = set()
     while True:
         comps = list(_split_components(current.atoms, base))
-        keys = [_component_key(atoms, order, base) for atoms, order in comps]
         tgt = _Target(current.atoms)
-        states = {}
-        for (atoms, order), key in zip(comps, keys):
-            if key not in states:
-                states[key] = (_Search(atoms, base, tgt), order)
+        states: dict[tuple, _Search] = {}
         for a in current.atoms:
             if a in fixed:
                 continue
-            solved = _solve_without(states, a)
-            if solved is None:
+            h = _solve(comps, states, base, tgt, a)
+            if h is None:
                 fixed.add(a)
                 continue
-            h = dict(base)
-            for (_, order), key in zip(comps, keys):
-                h.update(zip(order, solved[key]))
             image = [Atom(b.relation, tuple(map(h.get, b.args))) for b in current.atoms]
             current = ConjunctiveQuery(current.free_vars, tuple(image), q.name)
             break
         else:
             return current
-
-
-def _solve_without(states, fact):
-    """Per component key, the first solution's values (in the order of
-    the key's first component) with `fact` dropped from the target, or
-    None if some component has none. Every state is left as it was."""
-    solved = {}
-    for key, (search, order) in states.items():
-        mark = len(search.trail)
-        sol = next(search.solutions(), None) if search.drop(fact) else None
-        search.undo(mark)
-        if sol is None:
-            return None
-        solved[key] = [sol[v] for v in order]
-    return solved
 
 
 def endomorphisms(q: ConjunctiveQuery) -> list[Hom]:

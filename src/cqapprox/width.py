@@ -39,10 +39,16 @@ class TreeDecomposition:
 
 def cover_number(bag, atoms, limit=None) -> int | None:
     """Fewest atom argument sets covering bag, or None (or > limit)."""
+    return _cover_number(bag, {a.arg_set for a in atoms}, limit)
+
+
+def _cover_number(bag, arg_sets, limit) -> int | None:
+    """cover_number over the atoms' distinct argument sets, built once by
+    a caller that covers many bags."""
     need = frozenset(bag)
     if not need:
         return 0
-    sets = sorted({a.arg_set for a in atoms if a.arg_set & need}, key=sorted)
+    sets = [s for s in arg_sets if s & need]
     top = len(sets) if limit is None else min(limit, len(sets))
     for p in range(1, top + 1):
         for combo in itertools.combinations(sets, p):
@@ -166,10 +172,8 @@ def validate_decomposition(q: ConjunctiveQuery, td: TreeDecomposition, k: int) -
                 return False
             tops.add(v)
 
-    for bag in td.bags.values():
-        if bag and cover_number(bag, q.atoms, limit=k) is None:
-            return False
-    return True
+    arg_sets = {a.arg_set for a in q.atoms}
+    return all(_cover_number(bag, arg_sets, k) is not None for bag in td.bags.values())
 
 
 _GHW_VAR_GUARD = 12
@@ -186,7 +190,13 @@ def compute_ghw(q: ConjunctiveQuery, kmax: int) -> int | None:
     is guarded: a cyclic query with more than 12 existential variables
     raises BudgetError.
     """
-    if ghw1_membership(q) is not None:
+    return _ghw(q, kmax, ghw1_membership(q))
+
+
+def _ghw(q: ConjunctiveQuery, kmax: int, td: TreeDecomposition | None) -> int | None:
+    """compute_ghw given td = ghw1_membership(q), which a caller that
+    also reports the decomposition computes once."""
+    if td is not None:
         return 1 if kmax >= 1 else None
     evars = sorted(q.existential_vars)
     n = len(evars)
@@ -204,13 +214,14 @@ def compute_ghw(q: ConjunctiveQuery, kmax: int) -> int | None:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
 
-    cover_cache: dict[frozenset, int | None] = {}
+    arg_sets = {a.arg_set for a in q.atoms}
+    cover_cache: dict[int, int | None] = {}
 
     def bag_cover(bits: int) -> int | None:
-        bag = frozenset(evars[i] for i in range(n) if bits >> i & 1)
-        if bag not in cover_cache:
-            cover_cache[bag] = cover_number(bag, q.atoms, limit=kmax)
-        return cover_cache[bag]
+        if bits not in cover_cache:
+            bag = [evars[i] for i in range(n) if bits >> i & 1]
+            cover_cache[bits] = _cover_number(bag, arg_sets, kmax)
+        return cover_cache[bits]
 
     def bag_of(v: int, eliminated: int) -> int:
         """v plus every survivor reachable through eliminated vertices."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cqapprox import cli
+from cqapprox import cli, width
 from cqapprox.cli import main
 from cqapprox.hom import equivalent, evaluate
 from cqapprox.model import parse_database, parse_query
@@ -401,6 +401,31 @@ def test_width_of_long_acyclic_query_is_decided(capsys, tmp_path):
     assert code == 0 and report["witness"]["ghw"] == 1
     td = parse_decomposition(report["witness"]["decomposition"])
     assert validate_decomposition(parse_query(out), td, 1)
+
+
+@pytest.mark.parametrize("source", ["qprime:4", "triangle"])
+def test_width_tests_acyclicity_once_per_op(capsys, tmp_path, monkeypatch, source):
+    code, out, _ = run(capsys, "gen", source)
+    p = tmp_path / "q.cq"
+    p.write_text(out)
+    q = parse_query(out)
+    td = width.ghw1_membership(q)
+    want = {"ghw": 2} if td is None else {
+        "ghw": 1, "decomposition": width.serialize_decomposition(td)
+    }
+    calls = []
+    real = width.ghw1_membership
+
+    def counting(query):
+        calls.append(query)
+        return real(query)
+
+    monkeypatch.setattr(width, "ghw1_membership", counting)
+    monkeypatch.setattr(cli, "ghw1_membership", counting)
+    code, report, _ = run_json(capsys, "width", "--query", str(p))
+    assert len(calls) == 1
+    assert (code, report["verdict"], report["flags"]) == (0, "true", [])
+    assert report["witness"] == want
 
 
 def test_gen_lists_and_emits(capsys, files):

@@ -258,6 +258,32 @@ def test_core_skips_atoms_shown_non_removable(monkeypatch):
     assert len(drops) == len(set(drops)) == 3
 
 
+def _count_searches(monkeypatch):
+    built = []
+    real_init = hom._Search.__init__
+
+    def counting_init(self, atoms, base, target):
+        built.append(tuple(atoms))
+        real_init(self, atoms, base, target)
+
+    monkeypatch.setattr(hom._Search, "__init__", counting_init)
+    return built
+
+
+def test_identical_components_share_one_search(monkeypatch):
+    built = _count_searches(monkeypatch)
+    two_paths = parse_query("q() :- E(x,y), E(y,z), E(u,v), E(v,w).")
+    assert find_hom(two_paths, (), triangle, ()) is not None
+    assert len(built) == 1
+
+    # the first pass solves both triangles with one search and folds one
+    # onto the other; the second pass searches the one triangle left
+    built.clear()
+    two_triangles = parse_query("q() :- E(a,b), E(b,c), E(c,a), E(x,y), E(y,z), E(z,x).")
+    assert core(two_triangles) == parse_query("q() :- E(x,y), E(y,z), E(z,x).")
+    assert len(built) == 2
+
+
 def _search_state(search):
     return (
         [bytes(a) for a in search.alive],

@@ -5,7 +5,11 @@
   of the facts matched (the order the chase names its nulls by);
 - `_Search` returns a homomorphism the oracle finds, and None iff there
   is none;
-- `satisfies` agrees with the brute-force trigger check.
+- `satisfies` agrees with the brute-force trigger check;
+- `core` is idempotent, equivalent to its input, and as small as the
+  brute-force core;
+- a complete `chase_tgds` result satisfies its tgds, and the chase is
+  deterministic.
 """
 
 import pytest
@@ -13,11 +17,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from cqapprox.constraints import Egd, Tgd, satisfies  # noqa: E402
-from cqapprox.hom import _Search, _Target  # noqa: E402
-from cqapprox.model import Atom, ConjunctiveQuery, Const, Database, Var  # noqa: E402
+from cqapprox.constraints import Egd, Tgd, chase_tgds, satisfies  # noqa: E402
+from cqapprox.hom import _Search, _Target, core, equivalent  # noqa: E402
+from cqapprox.model import (  # noqa: E402
+    Atom,
+    ConjunctiveQuery,
+    Const,
+    Database,
+    Var,
+    canonical_database,
+)
 
-from _oracles import brute_homs, brute_satisfies  # noqa: E402
+from _oracles import brute_core, brute_homs, brute_satisfies  # noqa: E402
 
 SCHEMA = (("E", 2), ("P", 1))
 VARS = [Var(f"u{i}") for i in range(3)]
@@ -47,12 +58,21 @@ def join_cases(draw):
 
 
 @st.composite
-def dependencies(draw):
+def dependencies(draw, egds=True):
     body = tuple(draw(atoms(VARS, 1, 2)))
     body_vars = sorted({t for a in body for t in a.args})
-    if draw(st.booleans()):
+    if egds and draw(st.booleans()):
         return Egd(body, (draw(st.sampled_from(body_vars)), draw(st.sampled_from(body_vars))))
     return Tgd(body, tuple(draw(atoms(body_vars + [Var("z9")], 1, 2))))
+
+
+@st.composite
+def queries(draw, terms, max_atoms):
+    """A query over the terms with at most one free variable."""
+    body = draw(atoms(terms, 1, max_atoms))
+    body_vars = sorted({t for a in body for t in a.args})
+    free = draw(st.lists(st.sampled_from(body_vars), max_size=1))
+    return ConjunctiveQuery(tuple(free), tuple(body))
 
 
 def oracle(body, facts, anchors):
@@ -107,3 +127,22 @@ def test_search_first_solution_is_an_oracle_hom(case):
 def test_satisfies_matches_the_oracle(facts, deps):
     db = Database(tuple(facts))
     assert satisfies(db, deps) == brute_satisfies(db, deps)
+
+
+@DIFF
+@given(queries(VARS + [Var("u3")], 6))
+def test_core_is_an_idempotent_equivalent_minimum(q):
+    c = core(q)
+    assert core(c) == c
+    assert equivalent(c, q)
+    assert len(c.atoms) == len(brute_core(q).atoms)
+
+
+@DIFF
+@given(queries(VARS, 3), st.lists(dependencies(egds=False), min_size=1, max_size=2))
+def test_complete_chase_satisfies_its_tgds(q, tgds):
+    res = chase_tgds(q, tgds, max_depth=3)
+    again = chase_tgds(q, tgds, max_depth=3)
+    assert (again.query, again.complete) == (res.query, res.complete)
+    if res.complete:
+        assert brute_satisfies(canonical_database(res.query)[0], tgds)

@@ -7,8 +7,12 @@
   reference validator on random rooted trees and bags, including bags
   that disconnect a variable;
 - on binary Boolean queries the greedy construction agrees with the
-  unrolling search and passes identification.
+  unrolling search and passes identification, its output is acyclic,
+  and every component of the input wins the 1-cover game into some
+  representative the minimal cover family keeps.
 """
+
+import functools
 
 import pytest
 
@@ -17,7 +21,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cqapprox import approx  # noqa: E402
 from cqapprox.hom import equivalent  # noqa: E402
-from cqapprox.model import Atom, ConjunctiveQuery, Var  # noqa: E402
+from cqapprox.model import (  # noqa: E402
+    Atom,
+    ConjunctiveQuery,
+    Var,
+    connected_components,
+    disjoint_conjunction,
+)
+from cqapprox.pebble import wins_cover_game  # noqa: E402
 from cqapprox.width import (  # noqa: E402
     TreeDecomposition,
     ghw1_membership,
@@ -106,3 +117,22 @@ def test_greedy_agrees_with_exists(q):
         assert found is None
     else:
         assert approx.identify_overapprox(q, built, 1)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.lists(queries(BINARY, max_extra=2, max_free=0), min_size=1, max_size=3))
+def test_greedy_output_is_acyclic(parts):
+    built = approx.greedy_ghw1_overapprox(functools.reduce(disjoint_conjunction, parts))
+    assert built is None or ghw1_membership(built) is not None
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.lists(queries(BINARY, max_extra=2, max_free=0), min_size=1, max_size=4))
+def test_minimal_cover_family_covers_every_component(parts):
+    comps = connected_components(functools.reduce(disjoint_conjunction, parts))
+    reps = approx._minimal_cover_family(comps)
+    assert reps and all(p in comps for p in reps)
+    for comp in comps:
+        assert any(wins_cover_game(comp, (), p, (), 1)[0] for p in reps)
+    for i, p in enumerate(reps):
+        assert not any(wins_cover_game(p, (), o, (), 1)[0] for o in reps[:i] + reps[i + 1 :])
