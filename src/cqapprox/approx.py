@@ -31,8 +31,8 @@ from cqapprox.hom import Hom, contains, core, endomorphisms, evaluate, find_hom
 from cqapprox.pebble import (
     UnrollBudgetWarning,
     WinningFamily,
+    _Tree,
     constrained_wins_1,
-    unroll,
     unroll_size,
     wins_cover_game,
 )
@@ -169,19 +169,30 @@ def exists_overapprox(
     game from q into some unrolling q_c succeeds, and then core(q_c) is
     the overapproximation. Returns None when the budget or cmax runs
     out; None never asserts non-existence.
+
+    The q_c tried here is the overlap-pruned unrolling: a node's child
+    for a union is built only when the union's unanchored part meets the
+    node's and is not contained in it (`pebble._Tree`). It is
+    homomorphically equivalent to the complete tree that `unroll` builds,
+    so the verdict is the same and the witness is the same core up to
+    the names of its variables, which the breadth-first numbering of the
+    smaller tree assigns. `budget` caps the atoms the complete q_c would
+    emit (`unroll_size`), so the pruned search stops where the complete
+    one did and never runs longer than it.
     """
     if cmax < 1:
         raise CqError(f"cmax must be at least 1, got {cmax}")
+    tree = _Tree(q, k, pruned=True)
     for c in range(1, cmax + 1):
-        if budget is not None and unroll_size(q, k, c) > budget:
+        if budget is not None and (size := unroll_size(q, k, c)) > budget:
             warnings.warn(
                 f"stopping at depth {c}: unrolling would emit "
-                f"{unroll_size(q, k, c)} atoms (budget {budget})",
+                f"{size} atoms (budget {budget})",
                 UnrollBudgetWarning,
                 stacklevel=2,
             )
             return None
-        qc = unroll(q, k, c, budget=None)
+        qc, _ = tree.build(c)
         if wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)[0]:
             return core(qc)
     return None

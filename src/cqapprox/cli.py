@@ -432,6 +432,8 @@ def main(argv=None) -> int:
         for w in caught:
             flags.append(_FLAG_NAMES.get(w.category, w.category.__name__))
             print(f"cqapprox: warning: {w.message}", file=sys.stderr)
+        if args.cmd == "exists-over" and verdict == "inconclusive" and not flags:
+            flags.append("cmax")  # no budget warning: every depth up to --cmax ran
     except (PreconditionUnknownError, BudgetError) as exc:
         print(f"cqapprox: inconclusive: {exc}", file=sys.stderr)
         verdict, witness, raw = "inconclusive", None, None

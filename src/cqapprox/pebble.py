@@ -7,6 +7,8 @@ agrees with her previous answer on the overlap. wins_cover_game solves
 the unbounded game as a greatest fixpoint; wins_bounded iterates levels
 for the c-round variant; unroll builds the finite CQ q_c whose
 homomorphisms into D are exactly the c-round Duplicator wins.
+exists_overapprox cuts q_c from a smaller, overlap-pruned tree that is
+homomorphically equivalent (`_Tree`).
 
 All three solvers, constrained_wins_1 included, run one loop,
 `_Game.run`, over one state. Answers are id tuples over the target's
@@ -289,67 +291,104 @@ def unroll_with_decomposition(
     function; the 0-round game additionally checks atoms lying entirely
     inside the anchors, so the correspondence starts at c = 1.
     """
-    if k < 1:
-        raise CqError(f"k must be at least 1, got {k}")
+    tree = _Tree(q, k, pruned=False)
     if c < 0:
         raise CqError(f"depth must be nonnegative, got {c}")
-    if budget is not None and unroll_size(q, k, c) > budget:
+    if budget is not None and (size := unroll_size(q, k, c)) > budget:
         warnings.warn(
-            f"unrolling emits {unroll_size(q, k, c)} atoms "
-            f"(budget {budget})",
+            f"unrolling emits {size} atoms (budget {budget})",
             UnrollBudgetWarning,
             stacklevel=2,
         )
-    unions = k_unions(q, k)
-    anchors = set(q.free_vars)
-    contained = _node_atoms(q.atoms, unions, anchors)
+    return tree.build(c)
 
-    used = {v.name for v in anchors}
-    counter = itertools.count(1)
 
-    def fresh(name: str) -> Term:
-        while True:
-            cand = f"{name}_u{next(counter)}"
-            if cand not in used:
-                used.add(cand)
-                return Var(cand)
+class _Tree:
+    """The k-union tree that q_c cuts at depth c: its labels (the
+    k-unions), the atoms a node of each label emits, and per label the
+    labels of a node's children, computed once for every depth.
 
-    parent: dict[int, int | None] = {0: None}
-    label: dict[int, int | None] = {0: None}  # index into unions
-    phi: dict[int, dict[Term, Term]] = {0: {}}
-    frontier = [0]
-    for _depth in range(c):
-        next_frontier = []
-        for t in frontier:
-            for ui, u in enumerate(unions):
-                node = len(parent)
-                parent[node] = t
-                label[node] = ui
-                mapping = {}
+    The root has a child per union. In the full tree every node does. In
+    the pruned tree a node labelled u has a child for u' only when the
+    unanchored part of u' meets that of u and is not contained in it.
+
+    Up to renaming, the pruned q_c is a subquery of the full one, and the
+    full one maps onto it. Send a node to the image of its parent when
+    the node's union lies inside the label of that image. Otherwise send
+    it to that image's child of the same label when the two unions meet,
+    and to the root's child of the same label when they do not. An
+    image's label always contains the node's, so the atoms of a node and
+    the variables it shares with its parent are kept. The two are
+    therefore homomorphically equivalent: the same cover-game verdicts,
+    the same homomorphisms into any database, isomorphic cores.
+    """
+
+    def __init__(self, q: ConjunctiveQuery, k: int, pruned: bool):
+        self.q, self.k = q, k
+        unions = k_unions(q, k)
+        self.anchors = anchors = set(q.free_vars)
+        self.contained = _node_atoms(q.atoms, unions, anchors)
+        self.vlists = [sorted(u.vars) for u in unions]
+        every = range(len(unions))
+        if pruned:
+            own = [u.vars - anchors for u in unions]
+            self.children = [
+                [j for j in every if not own[j].isdisjoint(mine) and not own[j] <= mine]
+                for mine in own
+            ]
+        else:
+            self.children = [every] * len(unions)
+
+    def build(self, c: int) -> tuple[ConjunctiveQuery, TreeDecomposition]:
+        """q_c and the decomposition it carries, nodes numbered and
+        variables renamed in breadth-first order."""
+        anchors = self.anchors
+        used = {v.name for v in anchors}
+        counter = itertools.count(1)
+
+        def fresh(name: str) -> Term:
+            while True:
+                cand = f"{name}_u{next(counter)}"
+                if cand not in used:
+                    used.add(cand)
+                    return Var(cand)
+
+        parent: dict[int, int | None] = {0: None}
+        label: dict[int, int | None] = {0: None}  # index into unions
+        phi: dict[int, dict[Term, Term]] = {0: {}}
+        frontier = [0]
+        for _depth in range(c):
+            next_frontier = []
+            for t in frontier:
                 up = phi[t]
-                for d in sorted(u.vars):
-                    if d in anchors:
-                        mapping[d] = d
-                    elif d in up:
-                        mapping[d] = up[d]  # same occurrence as the parent
-                    else:
-                        mapping[d] = fresh(d.name)
-                phi[node] = mapping
-                next_frontier.append(node)
-        frontier = next_frontier
+                kids = range(len(self.vlists)) if t == 0 else self.children[label[t]]
+                for ui in kids:
+                    node = len(parent)
+                    parent[node] = t
+                    label[node] = ui
+                    mapping = {}
+                    for d in self.vlists[ui]:
+                        if d in anchors:
+                            mapping[d] = d
+                        elif d in up:
+                            mapping[d] = up[d]  # same occurrence as the parent
+                        else:
+                            mapping[d] = fresh(d.name)
+                    phi[node] = mapping
+                    next_frontier.append(node)
+            frontier = next_frontier
 
-    atoms = []
-    for node, ui in label.items():
-        if ui is None:
-            continue
-        mapping = phi[node]
-        for a in contained[ui]:
-            atoms.append(Atom(a.relation, tuple(mapping.get(d, d) for d in a.args)))
+        atoms = []
+        for node, ui in label.items():
+            if ui is None:
+                continue
+            mapping = phi[node]
+            for a in self.contained[ui]:
+                atoms.append(Atom(a.relation, tuple(mapping.get(d, d) for d in a.args)))
 
-    qc = ConjunctiveQuery(q.free_vars, tuple(atoms), q.name)
-    bags = {
-        node: frozenset(mapping.values()) - anchors
-        for node, mapping in phi.items()
-    }
-    td = TreeDecomposition(parent, bags, k)
-    return qc, td
+        qc = ConjunctiveQuery(self.q.free_vars, tuple(atoms), self.q.name)
+        bags = {
+            node: frozenset(mapping.values()) - anchors
+            for node, mapping in phi.items()
+        }
+        return qc, TreeDecomposition(parent, bags, self.k)

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from cqapprox import approx
+from cqapprox import approx, pebble
+from cqapprox.gen import corpus, gen_qn, gen_qn_prime
 from cqapprox.model import (
     Atom,
     ConjunctiveQuery,
@@ -34,6 +35,7 @@ from _support import (
     loop,
     path2,
     path3,
+    rand_binary_boolean_cq,
     rand_bipartite_boolean,
     rand_cq,
     rand_db,
@@ -254,6 +256,42 @@ def test_exists_budget_warning():
     with pytest.warns(UnrollBudgetWarning):
         out = approx.exists_overapprox(triangle, 1, cmax=8, budget=5)
     assert out is None
+
+
+def _full_exists(q, k, cmax, budget):
+    """The existence search over the complete unrolling `unroll` builds,
+    the reference for the pruned one: core(q_c) or None."""
+    for c in range(1, cmax + 1):
+        if pebble.unroll_size(q, k, c) > budget:
+            return None
+        qc = pebble.unroll(q, k, c, budget=None)
+        if pebble.wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)[0]:
+            return core(qc)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore::cqapprox.pebble.UnrollBudgetWarning")
+def test_exists_witness_is_the_full_unrolling_witness_renamed():
+    # both searches stop at the same budget, so they decide the same
+    # queries; equivalent cores of one size are isomorphic
+    rng = random.Random(31)
+    cases = [q for q in corpus().values() if isinstance(q, ConjunctiveQuery)]
+    cases += [rand_cq(rng, max_atoms=5, n_free=rng.choice((0, 1, 2))) for _ in range(30)]
+    cases += [rand_binary_boolean_cq(rng, max_atoms=6, max_vars=4) for _ in range(15)]
+    decided = 0
+    for q in cases:
+        want = _full_exists(q, 1, 3, 3_000)
+        got = approx.exists_overapprox(q, 1, cmax=3, budget=3_000)
+        assert (got is None) == (want is None), q
+        if want is not None:
+            decided += 1
+            assert len(got.atoms) == len(want.atoms) and equivalent(got, want), q
+    assert decided >= 50
+    # gen_qn_prime(n) is the overapproximation, so the full search finds a
+    # core of its size; run in full, that search is slow at gen_qn(4)
+    for n in range(1, 5):
+        got = approx.exists_overapprox(gen_qn(n), 1)
+        assert len(got.atoms) == 2 * (2**n - 1) and equivalent(got, gen_qn_prime(n))
 
 
 def test_exists_rejects_bad_cmax():

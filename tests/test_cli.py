@@ -93,6 +93,24 @@ def test_exists_over_inconclusive_on_triangle(capsys, files):
     assert code == 2 and "verdict: inconclusive" in out
 
 
+def test_exists_over_names_cmax_when_every_depth_ran(capsys, files):
+    code, report, _ = run_json(
+        capsys, "exists-over", "--k", "1", "--cmax", "4", "--query", files["triangle"]
+    )
+    assert code == 2 and report["verdict"] == "inconclusive"
+    assert report["flags"] == ["cmax"]
+
+
+def test_exists_over_names_the_budget_when_it_stops_the_search(capsys, files):
+    code, report, err = run_json(
+        capsys, "exists-over", "--k", "1", "--cmax", "8", "--budget", "5",
+        "--query", files["triangle"],
+    )
+    assert code == 2 and report["verdict"] == "inconclusive"
+    assert report["flags"] == ["unroll-budget"]
+    assert "budget 5" in err
+
+
 def test_exists_over_finds_acyclic_fixpoint(capsys, files):
     code, report, _ = run_json(
         capsys, "exists-over", "--k", "1", "--query", files["c2"]

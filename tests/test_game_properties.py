@@ -2,7 +2,10 @@
 
 - c-round Duplicator wins are exactly the homomorphisms out of the
   unrolling q_c (c ≥ 1), the paper's correspondence;
-- the unbounded game agrees with the explicit configuration-graph oracle.
+- the unbounded game agrees with the explicit configuration-graph oracle;
+- the overlap-pruned unrolling that exists_overapprox builds is
+  homomorphically equivalent to the full one, carries a width-k
+  decomposition, and emits no more atoms than the full one.
 """
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cqapprox import pebble  # noqa: E402
 from cqapprox.hom import find_hom  # noqa: E402
+from cqapprox.width import validate_decomposition  # noqa: E402
 from cqapprox.model import Atom, ConjunctiveQuery, Const, Database, Var  # noqa: E402
 
 from _oracles import oracle_wins_unbounded  # noqa: E402
@@ -73,3 +77,42 @@ def test_unbounded_game_matches_configuration_oracle(inst):
     won, family = pebble.wins_cover_game(q, q.free_vars, db, tgt, k)
     assert won == oracle_wins_unbounded(q, q.free_vars, db, tgt, k)
     assert (family is not None) == won
+
+
+@st.composite
+def queries(draw):
+    """A directed path or cycle on 2 to 4 variables plus at most two
+    random atoms (a ternary one among them), with 0 to 2 free variables."""
+    xs = [Var(f"x{i}") for i in range(draw(st.integers(2, 4)))]
+    atoms = walk(xs, draw(st.booleans())) + draw(extra_atoms(xs, 2, SCHEMA + (("T", 3),)))
+    head = draw(st.lists(st.sampled_from(xs), max_size=2, unique=True))
+    return ConjunctiveQuery(tuple(head), tuple(atoms))
+
+
+def emitted(qc, td, anchors) -> int:
+    """Atoms the builder emitted before deduplication: a node emits the
+    atoms of q_c whose unanchored arguments lie in its bag."""
+    return sum(
+        sum(1 for a in qc.atoms if set(a.args) - anchors <= bag)
+        for node, bag in td.bags.items()
+        if td.parent[node] is not None
+    )
+
+
+@DIFF
+@given(queries(), st.integers(1, 2))
+def test_pruned_unrolling_is_equivalent_to_the_full_one(q, k):
+    pruned = pebble._Tree(q, k, pruned=True)
+    anchors = set(q.free_vars)
+    for c in (1, 2, 3):
+        if pebble.unroll_size(q, k, c) > 3_000:
+            break
+        full = pebble.unroll(q, k, c, budget=None)
+        qc, td = pruned.build(c)
+        assert find_hom(full, full.free_vars, qc, qc.free_vars) is not None, c
+        assert find_hom(qc, qc.free_vars, full, full.free_vars) is not None, c
+        assert validate_decomposition(qc, td, k), c
+        assert pebble.wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)[0] == (
+            pebble.wins_cover_game(q, q.free_vars, full, full.free_vars, k)[0]
+        ), c
+        assert emitted(qc, td, anchors) <= pebble.unroll_size(q, k, c), c

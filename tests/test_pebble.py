@@ -529,6 +529,15 @@ def test_unroll_matches_bounded_wins_on_randoms():
         assert lhs == rhs, (trial, q, db, tgt, k, c)
 
 
+def test_pruned_unrolling_sizes():
+    # the overlap-pruned tree exists_overapprox builds, against the full one
+    for q, c, pruned, full in ((gen_qn_prime(4), 3, 218, 7_230), (triangle, 8, 765, 9_840)):
+        qc, td = pebble._Tree(q, 1, pruned=True).build(c)
+        assert len(qc.atoms) == pruned
+        assert width.validate_decomposition(qc, td, 1)
+        assert pebble.unroll_size(q, 1, c) == full
+
+
 def test_unroll_keeps_atoms_touching_free_variables():
     # a Duplicator answer on {x1,x2} also fixes x0 and so must respect
     # E(x0,x1); the node for {x1,x2} has to carry that atom as well
