@@ -227,13 +227,20 @@ _SKIP_RE = re.compile(r"(?:\s+|#[^\n]*)*")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _VAR_RE = re.compile(r"[a-z_][A-Za-z0-9_]*\Z")
 _CONST_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# Without comments and whitespace a fact file is a run of facts. The
+# catch-all takes all the rest where no fact starts: only the last match can
+# hold it, and no long name is rescanned from each of its characters.
+_COMMENT_RE = re.compile(r"#[^\n]*")
+_GLUED_RE = re.compile(r"[A-Za-z0-9_]\s+[A-Za-z0-9_]")
+_FACT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z0-9_]+(?:,[A-Za-z0-9_]+)*)\)\.|(.+)", re.S)
 
 
 class _Tokens:
     """The tokens of a text, ending in one empty token, and the terms
     read from it: all of one kind (variables in rules, constants in
     facts), one Term per name. Positions are found again only for an
-    error, by `error`."""
+    error, by `error`. It reads queries and dependencies, and explains
+    the fact files that `parse_database`'s own passes reject."""
 
     def __init__(self, text: str, kind: str):
         self.text = text
@@ -336,7 +343,27 @@ def parse_query(text: str) -> ConjunctiveQuery:
 
 
 def parse_database(text: str) -> Database:
-    """Parse a facts file: one fact ``R(c1,...,ck).`` per line, # comments."""
+    """Parse a facts file: one fact ``R(c1,...,ck).`` per line, # comments.
+
+    A few C-level passes accept a valid file. A text they reject, or an
+    arity clash, goes to the token reader, `_read_database`, to be explained."""
+    bare = _COMMENT_RE.sub("", text) if "#" in text else text
+    if not _GLUED_RE.search(bare):  # else compaction would glue two names
+        found = _FACT_RE.findall("".join(bare.split()))
+        if not found or not found[-1][2]:
+            terms: dict[str, Term] = {}
+            facts = [_new(Atom, (rel, tuple([terms.get(c) or terms.setdefault(c, Const(c))
+                                             for c in args.split(",")])))
+                     for rel, args, _ in found]
+            try:
+                return Database(tuple(facts))
+            except ArityError:
+                pass  # the token reader points at the clashing fact
+    return _read_database(text)
+
+
+def _read_database(text: str) -> Database:
+    """`parse_database` by the token reader, which locates any error."""
     ts = _Tokens(text, CONSTANT)
     facts = []
     while ts.peek():
@@ -359,15 +386,17 @@ def parse_database(text: str) -> Database:
 
 def parse_tuple(text: str) -> tuple[Term, ...]:
     """Parse a comma-separated constant tuple; empty string means ()."""
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
     out = []
+    start = 0  # of the part, in text
     for part in text.split(","):
-        part = part.strip()
-        if not _CONST_RE.match(part):
-            raise ParseError(f"bad constant {part!r} in tuple", 1, 1)
-        out.append(Const(part))
+        name = part.strip()
+        if not _CONST_RE.match(name):
+            col = start + len(part) - len(part.lstrip()) + 1
+            raise ParseError(f"bad constant {name!r} in tuple", 1, col)
+        out.append(Const(name))
+        start += len(part) + 1
     return tuple(out)
 
 

@@ -222,6 +222,14 @@ def test_eval_bad_tuple_arity(capsys, files):
     assert code == 3 and "error" in err
 
 
+def test_eval_bad_tuple_constant_reports_its_column(capsys, files):
+    code, _, err = run(
+        capsys, "eval", "--query", files["qx"], "--db", files["c2_db"],
+        "--tuple", "a, b c",
+    )
+    assert code == 3 and "bad constant 'b c' in tuple (line 1, column 4)" in err
+
+
 def test_core_command(capsys, files, tmp_path):
     doubled = tmp_path / "dbl.cq"
     doubled.write_text("q() :- E(x,y), E(y,x), E(y,z), E(z,y).")

@@ -7,6 +7,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqapprox.constraints import parse_dependencies
 from cqapprox.model import (
@@ -19,6 +20,7 @@ from cqapprox.model import (
     ParseError,
     Term,
     Var,
+    _read_database,
     canonical_database,
     connected_components,
     disjoint_conjunction,
@@ -139,9 +141,16 @@ def test_parse_reports_line_and_column():
         (parse_query, "q() :- E(x,y),\n  E(y,z)\n",
          "found 'end of input'", 3, 1),
         (parse_database, "R(a,b).\nR(b", "expected ')', found 'end of input'", 2, 4),
+        (parse_database, "E(a\nb).", "expected ')', found 'b'", 2, 1),
+        (parse_database, "E(a b).", "expected ')', found 'b'", 1, 5),
+        (parse_database, "E(a = b).", "expected ')', found '='", 1, 5),
+        (parse_database, "E(a,b) -> E(b,a).", "expected '.', found '->'", 1, 8),
+        (parse_database, "E().", "relation E needs at least one argument", 1, 1),
+        (parse_database, "E(a,b).\nE(b,c)", "expected '.', found 'end of input'", 2, 7),
     ],
     ids=["after-comment", "head-variable", "mid-database", "egd-second-variable",
-         "end-of-input", "end-of-input-database"],
+         "end-of-input", "end-of-input-database", "names-across-lines", "names-across-space",
+         "equals-in-fact", "arrow-after-fact", "no-arguments", "last-fact-without-dot"],
 )
 def test_parse_error_line_and_column(parse, text, message, line, col):
     with pytest.raises(ParseError, match=re.escape(message)) as e:
@@ -164,6 +173,60 @@ def test_parse_comments_and_whitespace():
            E(y,z), E(z,x).
     """
     assert parse_query(text) == triangle
+    assert parse_database("E(a, # x\n b).") == parse_database("E(a,b).")
+
+
+# Separators: whitespace that `\s` and str.split agree on, comments, and
+# (rarely drawn) a comment that runs to the end of the text and a zero-width
+# space, which is not whitespace and starts no token.
+SEPARATORS = [" ", "\t", "\n", "\r\n", "\x1c", "\xa0", "\x85", "\u2028", "\u3000",
+              "# note\n", "#", "\u200b"]
+MUTATION_CHARS = "(),.#=-> a1_"
+
+
+@st.composite
+def fact_texts(draw):
+    """A fact file from the grammar, with separators between all tokens,
+    then at most one character inserted, deleted or replaced, or two
+    names glued by turning a comma into a separator."""
+    sep = st.lists(st.sampled_from(SEPARATORS[:-2] * 8 + SEPARATORS[-2:]), max_size=2).map("".join)
+    parts = [draw(sep)]
+    for _ in range(draw(st.integers(0, 4))):
+        parts += [draw(st.sampled_from(["E", "R", "P_1"])), draw(sep), "(", draw(sep)]
+        for i in range(draw(st.integers(1, 3))):
+            if i:
+                parts += [",", draw(sep)]
+            parts += [draw(st.sampled_from(["a", "b", "c1", "_", "0"])), draw(sep)]
+        parts += [")", draw(sep), ".", draw(sep)]
+    text = "".join(parts)
+    how = draw(st.sampled_from(["none", "insert", "delete", "replace", "glue"]))
+    commas = [i for i, ch in enumerate(text) if ch == ","]
+    if how == "glue" and commas:
+        at = draw(st.sampled_from(commas))
+        return text[:at] + draw(st.sampled_from(SEPARATORS[:-1])) + text[at + 1:]
+    if how in ("none", "glue") or not text:
+        return text
+    at = draw(st.integers(0, len(text) - 1))
+    new = draw(st.sampled_from(MUTATION_CHARS))
+    return text[:at] + {"insert": new + text[at], "delete": "", "replace": new}[how] + text[at + 1:]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(fact_texts())
+def test_parse_database_agrees_with_the_token_reader(text):
+    assert _outcome(parse_database, text) == _outcome(_read_database, text)
+
+
+def test_parse_database_agrees_on_text_outside_the_drawn_alphabet():
+    for text in ("E(a,b).\nE(a).", "é(a).", "E(a) :- E(b).", "1E(a).", "E(a)" * 3000):
+        assert _outcome(parse_database, text) == _outcome(_read_database, text)
 
 
 def test_parse_unsafe_head_variable():
@@ -215,6 +278,14 @@ def test_parse_tuple():
     assert parse_tuple("a, b ,c") == (Const("a"), Const("b"), Const("c"))
     assert parse_tuple("") == ()
     assert serialize_tuple((Const("a"), Const("b"))) == "a,b"
+
+
+def test_parse_tuple_reports_the_column_of_the_bad_part():
+    for text, shown, col in (("a, b c", "b c", 4), ("a,,b", "", 3), (" a,b,", "", 6),
+                             ("a, x-y", "x-y", 4)):
+        with pytest.raises(ParseError, match=re.escape(f"bad constant {shown!r}")) as e:
+            parse_tuple(text)
+        assert (e.value.line, e.value.col) == (1, col)
 
 
 def test_database_rejects_variables():
