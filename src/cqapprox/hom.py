@@ -20,9 +20,16 @@ into that target. Two algorithms read it, each for its own job:
     signature and indexed per variable slot and value.
   - Every (atom, slot, value) keeps a count of live rows. Removing a
     value from a domain kills its rows; a count that falls to 0 removes
-    that value from the slot's variable. Every change after the initial
-    fixpoint goes on a trail, so a branch, or a dropped target fact, is
-    undone exactly.
+    that value from the slot's variable.
+  - The initial state, the greatest arc-consistent one, is reached in
+    bulk: two semijoin passes over whole atoms (Yannakakis 1981) cut
+    rows and domains with scans over row lists, the counts are built
+    from the rows that survive, and AC-4 removes what the passes left.
+    Killing rows one at a time from the full state cost far more on the
+    unrollings core() retracts; passes repeated to a fixpoint would cost
+    O(n²m) on a path into a longer path.
+  - Every change after the initial state goes on a trail, so a branch,
+    or a dropped target fact, is undone exactly.
 
 The next variable is always a most-constrained one (fewest values, then
 canonical order) and values are tried in canonical order. The greatest
@@ -194,11 +201,12 @@ class _Rows:
     either the anchored target value or the number of the variable slot
     (slots numbered by first occurrence). `ids[r]` is the id row of the
     r-th fitting fact and `rows[r]` its values per slot (the same list
-    when nothing is anchored or repeated), `hits[j]` maps a value id to
-    the rows holding it in slot j, and `counts[j]` counts them.
+    when nothing is anchored or repeated), `cols[j]` the values of slot j
+    in row order, `hits[j]` maps a value id to the rows holding it in
+    slot j, and `counts[j]` counts them.
     """
 
-    __slots__ = ("ids", "rows", "hits", "counts", "at")
+    __slots__ = ("ids", "rows", "cols", "hits", "counts", "at")
 
     def __init__(self, ids, pattern, target):
         eid = target.eid
@@ -223,6 +231,7 @@ class _Rows:
         else:
             self.rows = rows = ids
         self.ids = ids
+        self.cols = list(zip(*rows))
         self.hits = [{} for _ in first]
         for r, row in enumerate(rows):
             for hits, val in zip(self.hits, row):
@@ -258,6 +267,10 @@ class _Search:
     v a flag per value id, `dom[v]`, and their number, `size[v]`. Trail
     entries are `r << abits | i` for a killed row r of atom i and
     `~(d << vbits | v)` for value d removed from variable v.
+
+    `_fixpoint` builds the initial state in bulk; from then on `drop`,
+    `_assign` and `undo` change it a row at a time, through `_kill` and
+    `_propagate`, on the trail.
     """
 
     def __init__(self, atoms, base, target: _Target):
@@ -267,7 +280,7 @@ class _Search:
         vid = {v: k for k, v in enumerate(self.vars)}
         self.abits = max(1, len(atoms).bit_length())
         self.vbits = max(1, len(self.vars).bit_length())
-        self.trail = None  # the initial fixpoint is not undone, so not trailed
+        self.trail = None  # the initial state is never undone: no entries
 
         self.sig: list[_Rows] = []
         self.slots: list[tuple[int, ...]] = []
@@ -289,28 +302,103 @@ class _Search:
         self.ok = all(s.rows for s in self.sig)
         if not self.ok:
             return
-        self.alive = [bytearray(b"\x01") * len(s.rows) for s in self.sig]
-        self.counts = [[c[:] for c in s.counts] for s in self.sig]
         # occ[v]: (atom, slot) pairs where variable v occurs
         self.occ: list[list[tuple[int, int]]] = [[] for _ in self.vars]
         for i, slots in enumerate(self.slots):
             for j, v in enumerate(slots):
                 self.occ[v].append((i, j))
-        self.dom: list[bytearray] = []
-        self.size: list[int] = []
-        queue: deque[int] = deque()
-        for v, occ in enumerate(self.occ):
-            keys = [self.sig[i].hits[j].keys() for i, j in occ]
-            inter = set(keys[0]).intersection(*keys[1:])
-            flags = bytearray(len(self.values))
-            for d in inter:
-                flags[d] = 1
-            self.dom.append(flags)
-            self.size.append(len(inter))
-            for d in set(keys[0]).union(*keys[1:]) - inter:
-                queue += (v, d)
-        self.ok = all(self.size) and self._propagate(queue, None)
+        self.ok = self._fixpoint()
         self.trail = []
+
+    def _fixpoint(self) -> bool:
+        """Reach the initial state, the greatest arc-consistent one, and
+        return False on a wipe-out.
+
+        Two semijoin passes over whole atoms, forward then backward
+        (Yannakakis 1981), cut each atom's rows to those whose values its
+        variables may still take, then cut those variables to the atom's
+        projection. The state is then built from the surviving rows, and
+        AC-4 finishes from it.
+
+        Passes repeated to a fixpoint would take a path into a longer path
+        one value per variable and pass, O(n²m) work; two passes and AC-4
+        keep AC-4's bound. A cut costs a scan of the atom's live rows, so
+        an atom whose variables lost less than a quarter of the values its
+        rows hold, summed over its slots, is left for AC-4, which kills
+        only the rows that go.
+        """
+        sig, slots, occ = self.sig, self.slots, self.occ
+        # vals[v] is a subset of proj[i][j], the projection of atom i's
+        # live rows on each slot j holding v
+        vals = []
+        for o in occ:
+            keys = [sig[i].hits[j].keys() for i, j in o]
+            vals.append(set(keys[0]).intersection(*keys[1:]))
+        if not all(vals):
+            return False
+        live: list = [range(len(s.rows)) for s in sig]
+        proj = [list(map(dict.keys, s.hits)) for s in sig]
+        n = len(sig)
+        for i in itertools.chain(range(n), reversed(range(n))):
+            rs, cols, seen = live[i], sig[i].cols, proj[i]
+            lost = 0.0
+            for j, v in enumerate(slots[i]):
+                lost += 1 - len(vals[v]) / len(seen[j])
+            if lost < 0.25:
+                continue
+            for j, v in enumerate(slots[i]):
+                if len(vals[v]) < len(seen[j]):
+                    keep = map(vals[v].__contains__, map(cols[j].__getitem__, rs))
+                    rs = list(itertools.compress(rs, keep))
+            if not rs:
+                return False
+            live[i] = rs
+            for j, v in enumerate(slots[i]):
+                seen[j] = p = set(map(cols[j].__getitem__, rs))
+                if len(p) < len(vals[v]):
+                    vals[v] = p
+
+        width = len(self.values)
+        self.alive, self.counts = [], []
+        for s, rs in zip(sig, live):
+            total = len(s.rows)
+            if len(rs) == total:
+                self.alive.append(bytearray(b"\x01") * total)
+                self.counts.append([c[:] for c in s.counts])
+                continue
+            if 2 * len(rs) <= total:  # count the live rows into zeroed arrays
+                alive, rows, sign = bytearray(total), rs, 1
+                counts = [
+                    bytearray(width) if type(c) is bytearray else [0] * width for c in s.counts
+                ]
+            else:  # count the dead rows out of copied full counts
+                alive, sign = bytearray(b"\x01") * total, -1
+                rows = set(range(total)).difference(rs)
+                counts = [c[:] for c in s.counts]
+            flag = sign > 0
+            for r in rows:
+                alive[r] = flag
+                for cnt, val in zip(counts, s.rows[r]):
+                    cnt[val] += sign
+            self.alive.append(alive)
+            self.counts.append(counts)
+
+        self.dom, self.size = [], []
+        queue: deque[int] = deque()
+        for v, d in enumerate(vals):
+            flags = bytearray(width)
+            for val in d:
+                flags[val] = 1
+            self.dom.append(flags)
+            self.size.append(len(d))
+            # values a live row still holds but a later cut removed
+            gone = set()
+            for i, j in occ[v]:
+                if len(proj[i][j]) > len(d):
+                    gone |= proj[i][j] - d
+            for val in gone:
+                queue += (v, val)
+        return self._propagate(queue, None)
 
     def _kill(self, i, rs, queue, changed) -> bool:
         """Kill the live rows `rs` of atom i, queueing every value whose
