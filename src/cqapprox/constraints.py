@@ -4,7 +4,7 @@ The chase rewrites a query until it satisfies the dependencies: egds
 identify variables (finite, unique result, with the witnessing
 homomorphism h onto the result), tgds add atoms with fresh nulls in
 fair breadth-first rounds up to a depth cap. One generator, `_triggers`,
-serves satisfies, each egd step and each tgd round: over one
+serves satisfies, each egd step and each tgd round: over one indexed
 `hom._Target` per instance, `_Target.join` matches each body and checks
 each tgd head with every frontier slot bound. Containment and
 overapproximation evaluation under constraints reduce to homomorphism

@@ -7,11 +7,12 @@ index is built from those rows on first use and shared by every search
 into that target. Two algorithms read it, each for its own job:
 
 - `_Target.join` lists homomorphisms, for the cover game's answers, the
-  chase's triggers and each tgd head check (every frontier slot bound):
-  a nested-loop join over id rows in the given atom order, a fully bound
-  atom being one set lookup. Listing them with `_Search` would pay an
-  O(|domain|) assign, propagate and undo at every node; built so, the
-  game's answers kept a 15-s `cli_mix` benchmark run going past 300 s.
+  chase's triggers and each tgd head check (every frontier slot bound).
+  Set at a time, each step extends every partial solution by one atom
+  through a hash index keyed by (relation, bound positions, repeated
+  positions). Listing them with `_Search` would pay an O(|domain|)
+  assign, propagate and undo at every node; built so, the game's
+  answers kept a 15-s `cli_mix` benchmark run going past 300 s.
 - `_Search` finds a first homomorphism, for find_hom and core, and lists
   endomorphisms. It is exact backtracking that keeps generalized arc
   consistency by support counting (AC-4, Mohr & Henderson 1986):
@@ -109,8 +110,8 @@ def _anchor_map(src_tuple, tgt_tuple):
 class _Target:
     """A target's facts, interned once as id rows per relation (element
     ids in canonical order) and indexed for every search into it: the
-    fitting rows per signature for `_Search` and a row set per relation
-    for `join`, each built on first use."""
+    fitting rows per signature for `_Search` and a hash index per
+    relation and pattern for `join`, each built on first use."""
 
     def __init__(self, facts):
         self.values = sorted({t for f in facts for t in f.args})
@@ -119,7 +120,7 @@ class _Target:
         for f in facts:
             self.rels.setdefault(f.relation, []).append(tuple(map(eid.__getitem__, f.args)))
         self.sigs: dict[tuple, _Rows] = {}
-        self.sets: dict[str, set[tuple]] = {}
+        self.indexes: dict[tuple, list | set | dict] = {}
 
     def rows(self, relation, pattern) -> _Rows:
         key = (relation, pattern)
@@ -127,71 +128,90 @@ class _Target:
             self.sigs[key] = _Rows(self.rels.get(relation, []), pattern, self)
         return self.sigs[key]
 
-    def id_rows(self, relation) -> tuple[list[tuple], set[tuple]]:
-        """The relation's facts as id tuples, in fact order and as a set."""
+    def index(self, relation, pattern) -> list | set | dict:
+        """The relation's facts fitting `pattern`, keyed by its bound values.
+
+        `pattern` holds per position None if bound, else a fresh slot's
+        number (by first occurrence); a fact fits if the positions of each
+        fresh slot agree. Each key, the bound values as `itemgetter` reads
+        them, maps to the fitting facts' fresh values in fact order. With
+        nothing bound, that list is the index (the row list if nothing
+        repeats); with everything bound, the set of keys (the row set).
+        """
+        key = (relation, pattern)
+        found = self.indexes.get(key)
+        if found is not None:
+            return found
         rows = self.rels.get(relation, [])
-        if relation not in self.sets:
-            self.sets[relation] = set(rows)
-        return rows, self.sets[relation]
+        first, bound, repeats = {}, [], []
+        for p, s in enumerate(pattern):
+            if s is None:
+                bound.append(p)
+            elif s in first:
+                repeats.append((p, first[s]))
+            else:
+                first[s] = p
+        if repeats:
+            rows = [row for row in rows if all(row[p] == row[q] for p, q in repeats)]
+        fresh = list(first.values())
+        if len(fresh) == len(pattern):
+            found = rows
+        elif not fresh:  # a bound row is the row itself, or its one value
+            found = set(rows) if len(bound) > 1 else set(map(itemgetter(0), rows))
+        else:
+            get = itemgetter(*fresh)  # a tuple of values, or one value alone
+            exts = map(get, rows) if len(fresh) > 1 else zip(map(get, rows))
+            if not bound:
+                found = list(exts)
+            else:
+                found = {}
+                for k, ext in zip(map(itemgetter(*bound), rows), exts):
+                    if k in found:
+                        found[k].append(ext)
+                    else:
+                        found[k] = [ext]
+        self.indexes[key] = found
+        return found
 
     def join(self, atoms, slot, m):
         """Yield every homomorphism from `atoms` into the facts extending m.
 
         `slot` numbers the atoms' terms, and m holds an id per slot, None
-        where unbound; each solution is m completed, as a tuple. Atoms are
-        matched in the given order. An atom whose slots are all bound by
-        then is one set lookup; any other is a scan of its relation's facts
-        in fact order, so solutions come in lexicographic order of the
-        facts matched. An id that no fact holds, as for an anchor value
-        outside the target, is bound and matches nothing.
+        where unbound; every slot must be bound by m or by some atom. Each
+        solution is m completed, as a tuple. Set at a time, each step
+        extends every partial solution (the ids bound so far, in binding
+        order) by one atom, through one lookup of its bound values in
+        `index`. Extensions come in fact order, so solutions come in
+        lexicographic order of the facts matched. An id that no fact
+        holds, as for an anchor value outside the target, matches nothing.
         """
-        bound = {s for s, v in enumerate(m) if v is not None}
-        # a lookup step is (None, row set, slots); a scan step is (rows,
-        # check of bound slots, fresh (position, slot) pairs, repeats)
-        steps: list = []
+        start = [s for s, v in enumerate(m) if v is not None]
+        at = dict(zip(start, itertools.count()))  # slot -> position in a partial
+        partials = [tuple(map(m.__getitem__, start))]
         for a in atoms:
-            rows, row_set = self.id_rows(a.relation)
-            slots = [slot[t] for t in a.args]
-            if bound.issuperset(slots):
-                steps.append((None, row_set, slots))
-                continue
-            check, fresh, repeats = [], {}, []
-            for p, s in enumerate(slots):
-                if s in bound:
-                    check.append((p, s))
-                elif s in fresh:
-                    repeats.append((fresh[s], p))
+            pattern, key, fresh = [], [], {}
+            for s in map(slot.__getitem__, a.args):
+                if s in at:
+                    pattern.append(None)
+                    key.append(at[s])
                 else:
-                    fresh[s] = p
-            bound.update(fresh)
-            if check:
-                pos, at = zip(*check)
-                check = (itemgetter(*pos), itemgetter(*at))
-            steps.append((rows, check, [(p, s) for s, p in fresh.items()], repeats))
-        return _walk(steps, 0, list(m))
-
-
-def _walk(steps, i, m):
-    """`_Target.join`'s depth-first search from step i. A slot is written
-    only by the step binding it and read only after, so m is never reset."""
-    if i == len(steps):
-        yield tuple(m)
-        return
-    step = steps[i]
-    if step[0] is None:
-        if tuple([m[s] for s in step[2]]) in step[1]:
-            yield from _walk(steps, i + 1, m)
-        return
-    rows, check, fresh, repeats = step
-    if check:
-        get, want = check[0], check[1](m)
-        rows = [row for row in rows if get(row) == want]
-    if repeats:
-        rows = [row for row in rows if all(row[p] == row[q] for p, q in repeats)]
-    for row in rows:
-        for p, s in fresh:
-            m[s] = row[p]
-        yield from _walk(steps, i + 1, m)
+                    pattern.append(fresh.setdefault(s, len(fresh)))
+            index = self.index(a.relation, tuple(pattern))
+            if not key:
+                partials = [p + ext for p in partials for ext in index]
+            elif not fresh:
+                get = itemgetter(*key)
+                partials = [p for p in partials if get(p) in index]
+            else:
+                get = itemgetter(*key)
+                partials = [p + ext for p in partials for ext in index.get(get(p), ())]
+            if not partials:
+                return iter(())
+            for s in fresh:
+                at[s] = len(at)
+        if list(at) == sorted(at):  # bound in slot order
+            return iter(partials)
+        return map(itemgetter(*map(at.__getitem__, range(len(m)))), partials)
 
 
 class _Rows:
@@ -646,7 +666,7 @@ def evaluate(q: ConjunctiveQuery, db: Database) -> set:
     check_schemas_agree(q, db)
     if q.is_boolean:
         return {()} if find_hom(q, (), db, ()) is not None else set()
-    index = _Target(db.facts)
+    target = _Target(db.facts)
     distinct = sorted(set(q.free_vars))
     cands = []
     for v in distinct:
@@ -654,15 +674,17 @@ def evaluate(q: ConjunctiveQuery, db: Database) -> set:
         for a in q.atoms:
             for p, t in enumerate(a.args):
                 if t == v:
-                    here = {row[p] for row in index.rels.get(a.relation, [])}
-                    cand = here if cand is None else cand & here
-        cands.append(index.values if cand is None else [index.values[i] for i in sorted(cand)])
+                    # the values at position p, the keys of its one-position index
+                    pattern = (*range(p), None, *range(p, len(a.args) - 1))
+                    here = target.index(a.relation, pattern)
+                    cand = set(here) if cand is None else cand.intersection(here)
+        cands.append(target.values if cand is None else [target.values[i] for i in sorted(cand)])
 
     answers = set()
     for combo in itertools.product(*cands):
         assign = dict(zip(distinct, combo))
         tgt = tuple(assign[v] for v in q.free_vars)
-        if _find_hom(q, q.free_vars, db, tgt, index) is not None:
+        if _find_hom(q, q.free_vars, db, tgt, target) is not None:
             answers.add(tgt)
     return answers
 

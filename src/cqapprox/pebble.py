@@ -13,7 +13,8 @@ homomorphically equivalent (`_Tree`).
 All three solvers, constrained_wins_1 included, run one loop,
 `_Game.run`, over one state. Answers are id tuples over the target's
 `hom._Target` index, and a union's answers come from `_Target.join`,
-the one enumerator of all homomorphisms. Unions are linked only when they
+the one enumerator of all homomorphisms, through indexes every union
+shares. Unions are linked only when they
 share an unanchored variable (the overlap graph); any other pair only
 asks for a non-empty partner. Each barrier round after the first
 re-checks a union only against neighbours that lost answers in the
@@ -108,11 +109,11 @@ class _Game:
         self.target = target = _Target(_atoms_of(tgt))
         self.bid = {s: target.eid.get(t, -1) for s, t in self.base.items()}
         src_atoms = _atoms_of(src)
-        self.anchors_ok = all(
-            tuple(map(self.bid.__getitem__, a.args)) in target.id_rows(a.relation)[1]
-            for a in src_atoms
-            if all(t in self.bid for t in a.args)
-        )
+        slot = {t: s for s, t in enumerate(self.bid)}
+        held = [a for a in src_atoms if all(t in slot for t in a.args)]
+        self.anchors_ok = not held or next(
+            target.join(held, slot, list(self.bid.values())), None
+        ) is not None
         if not self.anchors_ok:
             return
         self.unions = k_unions(src, k)
@@ -146,12 +147,22 @@ class _Game:
     def _enumerate(self, u: KUnion, vlist, contained) -> list[tuple]:
         """All valid partial homs on u.vars ∪ anchors, as sorted id tuples:
         the join of the witness atoms (which cover every union variable)
-        and then of the other contained atoms, each by then a lookup."""
+        and the other contained atoms. With anchors, atoms go bound-first
+        (most bound positions, anchors counted, ties in witness order);
+        without, reordering costs more than it saves on small games."""
         slot = {v: p for p, v in enumerate(vlist)}
         for a in contained:
             for t in a.args:
                 slot.setdefault(t, len(slot))  # anchors outside the union
         atoms = list(u.witness) + [a for a in contained if a not in u.witness]
+        bound = set(self.bid)
+        if bound and any(t in bound for a in atoms for t in a.args):
+            rest, atoms = atoms, []
+            while rest:
+                a = max(rest, key=lambda b: sum(t in bound for t in b.args))
+                rest.remove(a)
+                atoms.append(a)
+                bound.update(a.args)
         sols = self.target.join(atoms, slot, [self.bid.get(t) for t in slot])
         n = len(vlist)
         return sorted({m[:n] for m in sols})

@@ -3,6 +3,8 @@
 - c-round Duplicator wins are exactly the homomorphisms out of the
   unrolling q_c (c ≥ 1), the paper's correspondence;
 - the unbounded game agrees with the explicit configuration-graph oracle;
+- the game starts, union by union, from exactly the partial homs that
+  the oracle lists, with anchors and a ternary relation in play;
 - the overlap-pruned unrolling that exists_overapprox builds is
   homomorphically equivalent to the full one, carries a width-k
   decomposition, and emits no more atoms than the full one.
@@ -18,9 +20,10 @@ from cqapprox.hom import find_hom  # noqa: E402
 from cqapprox.width import validate_decomposition  # noqa: E402
 from cqapprox.model import Atom, ConjunctiveQuery, Const, Database, Var  # noqa: E402
 
-from _oracles import oracle_wins_unbounded  # noqa: E402
+from _oracles import game_configs, oracle_wins_unbounded  # noqa: E402
 
 SCHEMA = (("E", 2), ("P", 1))
+TERNARY = SCHEMA + (("T", 3),)
 
 
 def walk(terms, closed):
@@ -29,13 +32,13 @@ def walk(terms, closed):
     return [Atom("E", pair) for pair in zip(terms, ends)]
 
 
-def extra_atoms(terms, max_size, schema=SCHEMA):
+def extra_atoms(terms, max_size, schema=SCHEMA, min_size=0):
     def atom(rel):
         name, arity = rel
         args = st.tuples(*[st.sampled_from(terms)] * arity)
         return args.map(lambda a: Atom(name, a))
 
-    return st.lists(st.sampled_from(schema).flatmap(atom), max_size=max_size)
+    return st.lists(st.sampled_from(schema).flatmap(atom), min_size=min_size, max_size=max_size)
 
 
 @st.composite
@@ -80,11 +83,44 @@ def test_unbounded_game_matches_configuration_oracle(inst):
 
 
 @st.composite
+def anchored_instances(draw):
+    """(query, database, anchor image, k). The query has 2 to 4 random
+    atoms over E, P and T on 4 variables and one or two free variables,
+    often held by an atom of their own, which then lies in every union
+    without being its witness. The database has 8 to 16 random facts on 3
+    constants; the image now and then uses a fourth that no fact holds."""
+    xs = [Var(f"x{i}") for i in range(4)]
+    q_atoms = draw(extra_atoms(xs, 4, TERNARY, min_size=2))
+    used = sorted({t for a in q_atoms for t in a.args})
+    head = draw(st.lists(st.sampled_from(used), min_size=1, max_size=2, unique=True))
+    q_atoms += draw(extra_atoms(head, 1, TERNARY))
+    q = ConjunctiveQuery(tuple(head), tuple(q_atoms))
+    cs = [Const(f"c{i}") for i in range(3)]
+    db = Database(tuple(draw(extra_atoms(cs, 16, TERNARY, min_size=8))))
+    tgt = tuple(draw(st.sampled_from(cs * 4 + [Const("c9")])) for _ in head)
+    return q, db, tgt, draw(st.integers(1, 2))
+
+
+@DIFF
+@given(anchored_instances())
+def test_game_starts_from_every_partial_hom(inst):
+    q, db, tgt, k = inst
+    game = pebble._Game(q, q.free_vars, db, tgt, k)
+    unions, configs, base = game_configs(q, q.free_vars, db, tgt, k)
+    assert game.anchors_ok == (base is not None)
+    if base is None:
+        return
+    assert [u.vars for u in game.unions] == unions
+    for members, want in zip(game.family().members, configs.values()):
+        assert sorted(tuple(sorted(m.items())) for m in members) == sorted(want)
+
+
+@st.composite
 def queries(draw):
     """A directed path or cycle on 2 to 4 variables plus at most two
     random atoms (a ternary one among them), with 0 to 2 free variables."""
     xs = [Var(f"x{i}") for i in range(draw(st.integers(2, 4)))]
-    atoms = walk(xs, draw(st.booleans())) + draw(extra_atoms(xs, 2, SCHEMA + (("T", 3),)))
+    atoms = walk(xs, draw(st.booleans())) + draw(extra_atoms(xs, 2, TERNARY))
     head = draw(st.lists(st.sampled_from(xs), max_size=2, unique=True))
     return ConjunctiveQuery(tuple(head), tuple(atoms))
 

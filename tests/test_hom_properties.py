@@ -2,7 +2,8 @@
 
 - `_Target.join` finds exactly the homomorphisms the brute-force oracle
   finds, and, with the body matched as written, in lexicographic order
-  of the facts matched (the order the chase names its nulls by);
+  of the facts matched (the order the chase names its nulls by), also
+  when a second join reads indexes that a first built on the target;
 - `_Search` returns a homomorphism the oracle finds, and None iff there
   is none;
 - `_Search` starts from the greatest arc-consistent state, as plain sets
@@ -52,16 +53,25 @@ def atoms(terms, min_size, max_size, schema=SCHEMA):
     return st.lists(st.sampled_from(schema).flatmap(atom), min_size=min_size, max_size=max_size)
 
 
-@st.composite
-def join_cases(draw):
-    """(body as written, facts in a drawn order, anchors). The anchors
-    map some body variables to constants, perhaps to one outside the
-    facts."""
-    body = draw(atoms(VARS, 1, 3))
-    facts = list(dict.fromkeys(draw(atoms(CONSTS, 0, 7))))
+def anchors_of(draw, body, consts):
+    """Up to two body variables mapped to constants, perhaps to one
+    outside the facts."""
     body_vars = sorted({t for a in body for t in a.args})
     anchored = draw(st.lists(st.sampled_from(body_vars), unique=True, max_size=2))
-    anchors = {v: draw(st.sampled_from(CONSTS + [OUTSIDE])) for v in anchored}
+    return {v: draw(st.sampled_from(consts + [OUTSIDE])) for v in anchored}
+
+
+@st.composite
+def join_cases(draw):
+    """(body as written, facts in a drawn order, anchors). The body has
+    up to 5 atoms over a ternary relation too, so that a variable often
+    repeats inside one atom; when a variable is anchored, an atom over
+    anchored variables alone may follow."""
+    body = draw(atoms(VARS, 1, 5, TERNARY))
+    facts = list(dict.fromkeys(draw(atoms(CONSTS, 0, 20, TERNARY))))
+    anchors = anchors_of(draw, body, CONSTS)
+    if anchors:
+        body += draw(atoms(sorted(anchors), 0, 1, TERNARY))
     return body, facts, anchors
 
 
@@ -78,10 +88,7 @@ def search_cases(draw):
         n = len(CONSTS6) ** arity
         rows = draw(st.lists(row, unique=True, min_size=min(6, n), max_size=20))
         facts += [Atom(name, r) for r in rows]
-    body_vars = sorted({t for a in body for t in a.args})
-    anchored = draw(st.lists(st.sampled_from(body_vars), unique=True, max_size=2))
-    anchors = {v: draw(st.sampled_from(CONSTS6 + [OUTSIDE])) for v in anchored}
-    return body, facts, anchors
+    return body, facts, anchors_of(draw, body, CONSTS6)
 
 
 @st.composite
@@ -139,14 +146,20 @@ def arc_consistent(body, facts, anchors):
     return live, dom
 
 
+def listed(text, terms):
+    """Atoms from text such as 'E 0 1, T 1 2 0', each number a term's index."""
+    return [
+        Atom(rel, tuple(terms[int(k)] for k in args))
+        for rel, *args in map(str.split, text.split(","))
+    ]
+
+
 DIFF = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 
-@DIFF
-@given(join_cases())
-def test_join_finds_the_oracle_homs_in_fact_order(case):
-    body, facts, anchors = case
-    target = _Target(facts)
+def check_join(target, body, facts, anchors):
+    """`target.join` of the body as written finds the oracle's homs, in
+    lexicographic order of the facts matched."""
     slot = {}
     for a in body:
         for t in a.args:
@@ -171,20 +184,48 @@ def test_join_finds_the_oracle_homs_in_fact_order(case):
 
 @DIFF
 @given(join_cases())
+def test_join_finds_the_oracle_homs_in_fact_order(case):
+    body, facts, anchors = case
+    check_join(_Target(facts), body, facts, anchors)
+
+
+@st.composite
+def join_twice(draw):
+    """A join case and a second set of anchors for the same body."""
+    body, facts, anchors = draw(join_cases())
+    return body, facts, anchors, anchors_of(draw, body, CONSTS)
+
+
+@DIFF
+@given(join_twice())
+# the second join reads the first's index on E's first position, then its
+# index on T's first position with the other two repeated; in the last,
+# E(u0, u1) must not read the index that E(u0, u0) left
+@example((listed("E 0 1, E 1 2", VARS), listed("E 0 1, E 1 2, E 1 0, E 2 2", CONSTS), {},
+          {VARS[1]: CONSTS[1]}))
+@example((listed("P 0, T 0 1 1", VARS), listed("P 0, P 1, T 0 1 1, T 0 1 2, T 0 2 2, T 1 1 1",
+          CONSTS), {}, {VARS[0]: CONSTS[0]}))
+@example((listed("E 0 0, E 0 1", VARS), listed("E 0 1, E 0 0, E 1 2", CONSTS), {}, {}))
+def test_a_second_join_reads_the_indexes_of_the_first(case):
+    """The body reversed, under other anchors: its atoms meet other bound
+    patterns, and some of them the first join's. Indexes, once built, are
+    kept as they are."""
+    body, facts, anchors, again = case
+    target = _Target(facts)
+    check_join(target, body, facts, anchors)
+    built = dict(target.indexes)
+    check_join(target, body[::-1], facts, again)
+    assert all(target.indexes[k] is v for k, v in built.items())
+
+
+@DIFF
+@given(join_cases())
 def test_search_first_solution_is_an_oracle_hom(case):
     body, facts, anchors = case
     first = next(_Search(body, anchors, _Target(facts)).solutions(), None)
     want = oracle(body, facts, anchors)
     assert (first is None) == (not want)
     assert first is None or first in want
-
-
-def listed(text, terms):
-    """Atoms from text such as 'E 0 1, T 1 2 0', each number a term's index."""
-    return [
-        Atom(rel, tuple(terms[int(k)] for k in args))
-        for rel, *args in map(str.split, text.split(","))
-    ]
 
 
 @DIFF
