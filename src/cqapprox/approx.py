@@ -27,7 +27,15 @@ from cqapprox.model import (
     disjoint_conjunction,
     gaifman,
 )
-from cqapprox.hom import Hom, contains, core, endomorphisms, evaluate, find_hom
+from cqapprox.hom import (
+    Hom,
+    _split_components,
+    contains,
+    core,
+    endomorphisms,
+    evaluate,
+    find_hom,
+)
 from cqapprox.pebble import (
     UnrollBudgetWarning,
     WinningFamily,
@@ -165,20 +173,31 @@ def exists_overapprox(
 ) -> ConjunctiveQuery | None:
     """Semi-decide existence of the GHW(k)-overapproximation.
 
-    Tries depths c = 1..cmax: the overapproximation exists iff the cover
-    game from q into some unrolling q_c succeeds, and then core(q_c) is
-    the overapproximation. Returns None when the budget or cmax runs
-    out; None never asserts non-existence.
+    Tries depths c = 1..cmax: the overapproximation O exists iff the
+    cover game from q into some unrolling q_c succeeds, and then O is
+    core(q_c). Returns None when the budget or cmax runs out; None never
+    asserts non-existence.
 
     The q_c tried here is the overlap-pruned unrolling: a node's child
     for a union is built only when the union's unanchored part meets the
     node's and is not contained in it (`pebble._Tree`). It is
     homomorphically equivalent to the complete tree that `unroll` builds,
     so the verdict is the same and the witness is the same core up to
-    the names of its variables, which the breadth-first numbering of the
-    smaller tree assigns. `budget` caps the atoms the complete q_c would
-    emit (`unroll_size`), so the pruned search stops where the complete
-    one did and never runs longer than it.
+    the names of its variables. `budget` caps the atoms the complete q_c
+    would emit (`unroll_size`), so the pruned search stops where the
+    complete one did and never runs longer than it.
+
+    Only part of q_c is retracted (`_equivalent_part`): a union P of
+    connected components of q_c, fully anchored atoms included, that q's
+    game still wins into. P is equivalent to O. It lies in GHW(k), since
+    widths count only existential variables and every bag of q_c, cut to
+    P, is covered by the atoms of P that covered it. It contains q, since
+    P ⊆ q_c and q_c maps onto q. And O maps into P, since the game into
+    P is won. So core(P) ≅ core(q_c).
+
+    The witness is named after q (`_named_after`): the copy of a
+    variable nearest the tree's root keeps the variable itself, later
+    copies are called `<name>_<i>`.
     """
     if cmax < 1:
         raise CqError(f"cmax must be at least 1, got {cmax}")
@@ -193,9 +212,78 @@ def exists_overapprox(
             )
             return None
         qc, _ = tree.build(c)
-        if wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)[0]:
-            return core(qc)
+        won, family = wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)
+        if won:
+            part = _equivalent_part(q, qc, family, k)
+            return _named_after(q, core(part), tree.origin)
     return None
+
+
+def _equivalent_part(
+    q: ConjunctiveQuery, qc: ConjunctiveQuery, family: WinningFamily, k: int
+) -> ConjunctiveQuery:
+    """A union of q_c's connected components that q's k-cover game wins
+    into, or q_c itself.
+
+    The components are those of `_split_components` with the free
+    variables fixed, and fully anchored atoms always stay. Going through
+    the unions of q's winning family into q_c, a union with no answer
+    inside the components picked so far adds the components of the answer
+    that adds the fewest atoms. A part smaller than q_c is returned only
+    if one more game confirms it, so the choice affects speed, never the
+    result.
+    """
+    base = {v: v for v in q.free_vars}
+    comps = [(atoms, order) for atoms, order, _ in _split_components(qc.atoms, base)]
+    held = [atoms for atoms, order in comps if order]  # not fully anchored
+    if len(held) < 2:
+        return qc
+    comp_of = {v: i for i, order in enumerate(o for _, o in comps if o) for v in order}
+    picked: set[int] = set()
+    for members in family.members:
+        spans = dict.fromkeys(
+            frozenset(comp_of[t] for t in m.values() if t in comp_of) for m in members
+        )
+        if not any(s <= picked for s in spans):
+            picked |= min(spans, key=lambda s: sum(len(held[i]) for i in s - picked))
+    if len(picked) == len(held):
+        return qc
+    kept = [a for atoms, order in comps if not order or comp_of[order[0]] in picked for a in atoms]
+    part = ConjunctiveQuery(qc.free_vars, tuple(kept), qc.name)
+    if wins_cover_game(q, q.free_vars, part, part.free_vars, k)[0]:
+        return part
+    return qc
+
+
+def _named_after(
+    q: ConjunctiveQuery, witness: ConjunctiveQuery, origin: dict[Term, Term]
+) -> ConjunctiveQuery:
+    """witness with each copy renamed after the variable of q it copies.
+
+    `origin` maps every copy, in the tree's breadth-first order, to its
+    variable. A variable's first copy in the witness becomes the variable
+    itself, each later one `<name>_<i>` with the least i whose name
+    neither q nor an earlier copy holds. Free variables are no copies and
+    keep their names."""
+    used = {v.name for v in q.variables}
+    present = witness.variables
+    count: dict[Term, int] = {}
+    rename: dict[Term, Term] = {}
+    for copy, d in origin.items():
+        if copy not in present:
+            continue
+        if d not in count:
+            count[d] = 0
+            rename[copy] = d
+            continue
+        name = d.name
+        while name in used:
+            count[d] += 1
+            name = f"{d.name}_{count[d]}"
+        used.add(name)
+        rename[copy] = Var(name)
+    atoms = (Atom(a.relation, tuple(rename.get(t, t) for t in a.args)) for a in witness.atoms)
+    return ConjunctiveQuery(witness.free_vars, tuple(atoms), witness.name)
 
 
 # --- the greedy width-1 algorithm (Boolean, binary schema) --------------------

@@ -674,10 +674,8 @@ def evaluate(q: ConjunctiveQuery, db: Database) -> set:
         for a in q.atoms:
             for p, t in enumerate(a.args):
                 if t == v:
-                    # the values at position p, the keys of its one-position index
-                    pattern = (*range(p), None, *range(p, len(a.args) - 1))
-                    here = target.index(a.relation, pattern)
-                    cand = set(here) if cand is None else cand.intersection(here)
+                    here = set(map(itemgetter(p), target.rels.get(a.relation, ())))
+                    cand = here if cand is None else cand & here
         cands.append(target.values if cand is None else [target.values[i] for i in sorted(cand)])
 
     answers = set()

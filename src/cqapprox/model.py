@@ -166,11 +166,21 @@ class Database:
     def __post_init__(self):
         facts = tuple(sorted(dict.fromkeys(self.facts)))
         object.__setattr__(self, "facts", facts)
+        # one pass checks kinds and arities; a variable anywhere is reported
+        # before any arity clash, which `_check_arities` then names
+        arities: dict[str, int] = {}
+        clash = False
         for a in facts:
-            for t in a.args:
+            args = a.args
+            for t in args:
                 if t.kind != CONSTANT:
                     raise CqError(f"variable {t.name} in database fact {a}")
-        object.__setattr__(self, "arities", _check_arities(facts, "database"))
+            if arities.setdefault(a.relation, len(args)) != len(args):
+                clash = True
+        if clash:
+            _check_arities(facts, "database")
+        arities = _SCHEMAS.setdefault(frozenset(arities.items()), arities)
+        object.__setattr__(self, "arities", arities)
 
     @property
     def adom(self) -> frozenset[Term]:

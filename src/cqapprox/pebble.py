@@ -352,17 +352,21 @@ class _Tree:
 
     def build(self, c: int) -> tuple[ConjunctiveQuery, TreeDecomposition]:
         """q_c and the decomposition it carries, nodes numbered and
-        variables renamed in breadth-first order."""
+        variables renamed in breadth-first order. `origin` then maps each
+        copy, in that order, to the variable of q it copies."""
         anchors = self.anchors
         used = {v.name for v in anchors}
         counter = itertools.count(1)
+        self.origin = origin = {}
 
-        def fresh(name: str) -> Term:
+        def fresh(d: Term) -> Term:
             while True:
-                cand = f"{name}_u{next(counter)}"
+                cand = f"{d.name}_u{next(counter)}"
                 if cand not in used:
                     used.add(cand)
-                    return Var(cand)
+                    copy = Var(cand)
+                    origin[copy] = d
+                    return copy
 
         parent: dict[int, int | None] = {0: None}
         label: dict[int, int | None] = {0: None}  # index into unions
@@ -384,7 +388,7 @@ class _Tree:
                         elif d in up:
                             mapping[d] = up[d]  # same occurrence as the parent
                         else:
-                            mapping[d] = fresh(d.name)
+                            mapping[d] = fresh(d)
                     phi[node] = mapping
                     next_frontier.append(node)
             frontier = next_frontier

@@ -19,6 +19,7 @@ from cqapprox.model import (
     disjoint_conjunction,
     gaifman,
     parse_query,
+    serialize_query,
 )
 from cqapprox.hom import ArityError, contains, core, equivalent, find_hom
 from cqapprox.pebble import UnrollBudgetWarning, WinningFamily
@@ -292,6 +293,113 @@ def test_exists_witness_is_the_full_unrolling_witness_renamed():
     for n in range(1, 5):
         got = approx.exists_overapprox(gen_qn(n), 1)
         assert len(got.atoms) == 2 * (2**n - 1) and equivalent(got, gen_qn_prime(n))
+
+
+def _pruned_exists(q, k, cmax, budget):
+    """The existence search with all of the pruned q_c retracted: the
+    reference for the part that `exists_overapprox` retracts."""
+    tree = pebble._Tree(q, k, pruned=True)
+    for c in range(1, cmax + 1):
+        if pebble.unroll_size(q, k, c) > budget:
+            return None
+        qc, _ = tree.build(c)
+        if pebble.wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)[0]:
+            return core(qc)
+    return None
+
+
+def _named_after_q(got, q):
+    """Every variable of got is a variable of q, or `<name>_<i>` for a
+    variable <name> of q that got also holds (its first copy)."""
+    own = {v.name for v in got.variables}
+    for v in got.variables - q.variables:
+        name, _, i = v.name.rpartition("_")
+        if not (i.isdigit() and Var(name) in q.variables and name in own):
+            return False
+    return True
+
+
+@pytest.mark.filterwarnings("ignore::cqapprox.pebble.UnrollBudgetWarning")
+def test_exists_part_agrees_with_the_core_of_the_whole_pruned_unrolling():
+    rng = random.Random(47)
+    cases = [q for q in corpus().values() if isinstance(q, ConjunctiveQuery)]
+    cases += [rand_cq(rng, max_atoms=4, n_free=rng.choice((0, 1, 2))) for _ in range(30)]
+    cases += [rand_binary_boolean_cq(rng, max_atoms=5, max_vars=4) for _ in range(10)]
+    decided = 0
+    for k, cmax, budget in ((1, 3, 3_000), (2, 2, 600)):
+        for q in cases:
+            want = _pruned_exists(q, k, cmax, budget)
+            got = approx.exists_overapprox(q, k, cmax=cmax, budget=budget)
+            assert (got is None) == (want is None), (q, k)
+            if want is not None:
+                decided += 1
+                assert len(got.atoms) == len(want.atoms) and equivalent(got, want), (q, k)
+                assert _named_after_q(got, q), (q, got)
+    assert decided >= 60
+
+
+def _core_sizes(monkeypatch):
+    sizes = []
+
+    def recording_core(q):
+        sizes.append(len(q.atoms))
+        return core(q)
+
+    monkeypatch.setattr(approx, "core", recording_core)
+    return sizes
+
+
+def test_exists_retracts_only_the_part_the_game_confirms(monkeypatch):
+    # the pruned q_3 of gen_qn(3) has 150 atoms in 5 components, and the
+    # pruned q_4 of gen_qn(4) 1,098 atoms in 7
+    sizes = _core_sizes(monkeypatch)
+    for n in (3, 4):
+        got = approx.exists_overapprox(gen_qn(n), 1)
+        assert equivalent(got, gen_qn_prime(n))
+    assert sizes == [22, 86]
+
+
+def test_exists_retracts_a_one_component_unrolling_whole(monkeypatch):
+    sizes = _core_sizes(monkeypatch)
+    qc, _ = pebble._Tree(gen_qn(1), 1, pruned=True).build(1)
+    assert approx.exists_overapprox(gen_qn(1), 1) is not None
+    assert sizes == [len(qc.atoms)] == [2]
+
+
+def test_exists_part_falls_back_to_the_whole_unrolling_when_its_game_is_lost():
+    # a family whose answer points at the path component, into which
+    # the 2-cycle's game is lost: the part is refused, q_c comes back
+    q = parse_query("q() :- E(x,y), E(y,x).")
+    qc = parse_query("q() :- E(a,b), E(c,d), E(d,c).")
+    x, y, a, b, c, d = (Var(n) for n in "xyabcd")
+    unions = pebble.k_unions(q, 1)
+    family = WinningFamily({}, unions, [[{x: a, y: b}, {x: c, y: d}]])
+    assert approx._equivalent_part(q, qc, family, 1) is qc
+    right = WinningFamily({}, unions, [[{x: c, y: d}]])
+    assert approx._equivalent_part(q, qc, right, 1) == parse_query(
+        "q() :- E(c,d), E(d,c)."
+    )
+
+
+def test_exists_witness_of_gen_qn_2_is_named_after_its_variables():
+    got = approx.exists_overapprox(gen_qn(2), 1)
+    assert serialize_query(got) == (
+        "q() :- R(x0, x1_1, x2_1), R(x0, x2_1, x1_1), R(x1_1, x1_2, x2_2), "
+        "R(x1_1, x2_2, x1_2), R(x2_1, x1_2_1, x2_2_1), R(x2_1, x2_2_1, x1_2_1)."
+    )
+
+
+def test_exists_copies_avoid_the_names_of_the_query():
+    # gen_qn(2) with x0 renamed x1_2_1, the name x1_2's second copy had
+    q = parse_query(
+        "q() :- R(x1_2_1, x1_1, x2_1), R(x1_2_1, x2_1, x1_1), R(x1_1, x1_2, x2_2), "
+        "R(x1_1, x2_2, x1_2), R(x2_1, x1_2, x2_2), R(x2_1, x2_2, x1_2)."
+    )
+    got = approx.exists_overapprox(q, 1)
+    assert serialize_query(got) == (
+        "q() :- R(x1_1, x1_2, x2_2), R(x1_1, x2_2, x1_2), R(x1_2_1, x1_1, x2_1), "
+        "R(x1_2_1, x2_1, x1_1), R(x2_1, x1_2_2, x2_2_1), R(x2_1, x2_2_1, x1_2_2)."
+    )
 
 
 def test_exists_rejects_bad_cmax():

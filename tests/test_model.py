@@ -293,6 +293,20 @@ def test_database_rejects_variables():
         Database((Atom("E", (Var("x"), Const("a"))),))
 
 
+def test_database_checks_name_the_first_offender():
+    a, b, x = Const("a"), Const("b"), Var("x")
+    with pytest.raises(CqError, match=re.escape("variable x in database fact E(a,x)")):
+        Database((Atom("E", (a, a)), Atom("E", (a, x)), Atom("E", (b, x))))
+    # a variable anywhere is reported before an arity clash
+    with pytest.raises(CqError, match="variable x") as e:
+        Database((Atom("E", (a,)), Atom("E", (a, b)), Atom("P", (x,))))
+    assert not isinstance(e.value, ArityError)
+    with pytest.raises(ArityError, match="relation E used with arities 2 and 1 in database"):
+        Database((Atom("E", (a, b)), Atom("P", (a,)), Atom("E", (b,))))
+    db = Database((Atom("T", (a, a, b)), Atom("P", (b,)), Atom("E", (a, b))))
+    assert list(db.arities.items()) == [("E", 2), ("P", 1), ("T", 3)]
+
+
 def test_canonical_database_triangle():
     db, tup = canonical_database(triangle)
     assert tup == ()
