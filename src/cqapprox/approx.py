@@ -29,7 +29,7 @@ from cqapprox.model import (
 )
 from cqapprox.hom import (
     Hom,
-    _split_components,
+    _components,
     contains,
     core,
     endomorphisms,
@@ -225,7 +225,7 @@ def _equivalent_part(
     """A union of q_c's connected components that q's k-cover game wins
     into, or q_c itself.
 
-    The components are those of `_split_components` with the free
+    The components are those of `hom._components` with the free
     variables fixed, and fully anchored atoms always stay. Going through
     the unions of q's winning family into q_c, a union with no answer
     inside the components picked so far adds the components of the answer
@@ -234,11 +234,10 @@ def _equivalent_part(
     result.
     """
     base = {v: v for v in q.free_vars}
-    comps = [(atoms, order) for atoms, order, _ in _split_components(qc.atoms, base)]
-    held = [atoms for atoms, order in comps if order]  # not fully anchored
+    anchored, held = _components(qc.atoms, base)
     if len(held) < 2:
         return qc
-    comp_of = {v: i for i, order in enumerate(o for _, o in comps if o) for v in order}
+    comp_of = {t: i for i, atoms in enumerate(held) for a in atoms for t in a.args if t not in base}
     picked: set[int] = set()
     for members in family.members:
         spans = dict.fromkeys(
@@ -248,7 +247,7 @@ def _equivalent_part(
             picked |= min(spans, key=lambda s: sum(len(held[i]) for i in s - picked))
     if len(picked) == len(held):
         return qc
-    kept = [a for atoms, order in comps if not order or comp_of[order[0]] in picked for a in atoms]
+    kept = anchored + [a for i in picked for a in held[i]]
     part = ConjunctiveQuery(qc.free_vars, tuple(kept), qc.name)
     if wins_cover_game(q, q.free_vars, part, part.free_vars, k)[0]:
         return part

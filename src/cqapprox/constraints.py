@@ -18,7 +18,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from cqapprox.hom import Hom, _atoms_of, _Target, find_hom
+from cqapprox.hom import Hom, _Target, find_hom
 from cqapprox.model import (
     ArityError,
     Atom,
@@ -162,7 +162,8 @@ def _split(deps, inst):
 
 
 def _triggers(facts, deps):
-    """The active triggers of deps on the facts, dependency by dependency.
+    """The active triggers of deps on the facts (an instance, or a list of
+    atoms), dependency by dependency.
 
     An egd yields (egd, h) for every body match h with h(y) ≠ h(z); a tgd
     yields (tgd, frontier map) once per frontier image with no head
@@ -207,7 +208,7 @@ def satisfies(inst, deps) -> bool:
     """
     deps = tuple(deps)
     _split(deps, inst)
-    return next(_triggers(_atoms_of(inst), deps), None) is None
+    return next(_triggers(inst, deps), None) is None
 
 
 # --- the chase -----------------------------------------------------------------

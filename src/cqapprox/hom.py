@@ -1,10 +1,10 @@
 """Homomorphism search, CQ evaluation, containment, and cores.
 
-`_Target` is the one place where a target is interned and indexed. It
-holds one interned form, each fact once as a row of element ids per
-relation (ids in canonical order, so id order is `Term` order); every
-index is built from those rows on first use and shared by every search
-into that target. Two algorithms read it, each for its own job:
+`_Target` is the one place where a target is indexed. It reads one
+interned form, each fact once as a row of element ids per relation (ids
+in canonical order, so id order is `Term` order): a Database's, made
+once and shared by every call into it, or a query's, made per call. Two
+algorithms read it, each for its own job:
 
 - `_Target.join` lists homomorphisms, for the cover game's answers, the
   chase's triggers and each tgd head check (every frontier slot bound).
@@ -64,6 +64,7 @@ from cqapprox.model import (
     ConjunctiveQuery,
     Database,
     Term,
+    _intern,
     _UnionFind,
     check_schemas_agree,
 )
@@ -89,9 +90,7 @@ def _atoms_of(thing):
 
 
 def _elements_of(thing):
-    if isinstance(thing, ConjunctiveQuery):
-        return set(thing.variables)
-    return set(thing.adom)
+    return thing.variables if isinstance(thing, ConjunctiveQuery) else thing.adom
 
 
 def _anchor_map(src_tuple, tgt_tuple):
@@ -108,19 +107,19 @@ def _anchor_map(src_tuple, tgt_tuple):
 
 
 class _Target:
-    """A target's facts, interned once as id rows per relation (element
-    ids in canonical order) and indexed for every search into it: the
-    fitting rows per signature for `_Search` and a hash index per
-    relation and pattern for `join`, each built on first use."""
+    """A target's interned form (`model._intern`) and its indexes, built
+    on first use. The rows fitting each signature, for `_Search`, hold
+    anchor values and stay with this object, made per call; the hash index
+    per relation and pattern, for `join`, stays with the form, which a
+    Database shares with every call."""
 
-    def __init__(self, facts):
-        self.values = sorted({t for f in facts for t in f.args})
-        self.eid = eid = {t: k for k, t in enumerate(self.values)}
-        self.rels: dict[str, list[tuple]] = {}
-        for f in facts:
-            self.rels.setdefault(f.relation, []).append(tuple(map(eid.__getitem__, f.args)))
+    def __init__(self, thing):
+        if isinstance(thing, Database):
+            form = thing._interned()
+        else:
+            form = _intern(thing.atoms if isinstance(thing, ConjunctiveQuery) else thing)
+        self.values, self.eid, self.rels, self.indexes = form
         self.sigs: dict[tuple, _Rows] = {}
-        self.indexes: dict[tuple, list | set | dict] = {}
 
     def rows(self, relation, pattern) -> _Rows:
         key = (relation, pattern)
@@ -578,7 +577,7 @@ def find_hom(source, src_tuple, target, tgt_tuple) -> Hom | None:
     that are renamings of one another are solved once.
     """
     check_schemas_agree(source, target)
-    return _find_hom(source, src_tuple, target, tgt_tuple, _Target(_atoms_of(target)))
+    return _find_hom(source, src_tuple, target, tgt_tuple, _Target(target))
 
 
 def _find_hom(source, src_tuple, target, tgt_tuple, tgt: _Target) -> Hom | None:
@@ -598,16 +597,9 @@ def _find_hom(source, src_tuple, target, tgt_tuple, tgt: _Target) -> Hom | None:
     return Hom(mapping, source, target)
 
 
-def _split_components(atoms, base):
-    """Group atoms by connected component of their unanchored terms.
-
-    Yields (atoms, var order, key) triples; fully anchored atoms form
-    their own singleton groups. The var order is first occurrence in the
-    component's sorted atom list, and the key is the component with each
-    unanchored var replaced by its number in that order and each anchored
-    one by its target value, so components with equal keys have the same
-    homomorphisms up to that renaming.
-    """
+def _components(atoms, base) -> tuple[list[Atom], list[list[Atom]]]:
+    """The fully anchored atoms, and the others grouped by connected
+    component of their unanchored terms, sorted, by least atom."""
     sets = _UnionFind()
     for a in atoms:
         free = [t for t in a.args if t not in base]
@@ -620,9 +612,19 @@ def _split_components(atoms, base):
         rep = sets.find(free[0]) if free else None
         groups.setdefault(rep, []).append(a)
 
-    comps = [[a] for a in groups.pop(None, [])]
-    comps += [sorted(groups[rep]) for rep in sorted(groups, key=lambda r: groups[r][0])]
-    for comp in comps:
+    anchored = groups.pop(None, [])
+    return anchored, [sorted(groups[rep]) for rep in sorted(groups, key=lambda r: groups[r][0])]
+
+
+def _split_components(atoms, base):
+    """Yield (atoms, var order, key) per group of `_components`, each fully
+    anchored atom a group of its own. The var order is first occurrence in
+    the group, and the key is the group with each unanchored var replaced
+    by its number in that order and each anchored one by its target value,
+    so groups with equal keys have the same homomorphisms up to renaming.
+    """
+    anchored, groups = _components(atoms, base)
+    for comp in [[a] for a in anchored] + groups:
         index: dict[Term, int] = {}
         key = tuple(
             (a.relation, tuple(
@@ -666,7 +668,7 @@ def evaluate(q: ConjunctiveQuery, db: Database) -> set:
     check_schemas_agree(q, db)
     if q.is_boolean:
         return {()} if find_hom(q, (), db, ()) is not None else set()
-    target = _Target(db.facts)
+    target = _Target(db)
     distinct = sorted(set(q.free_vars))
     cands = []
     for v in distinct:
@@ -716,7 +718,7 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     fixed: set[Atom] = set()
     while True:
         comps = list(_split_components(current.atoms, base))
-        tgt = _Target(current.atoms)
+        tgt = _Target(current)
         states: dict[tuple, _Search] = {}
         for a in current.atoms:
             if a in fixed:
@@ -735,5 +737,5 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
 def endomorphisms(q: ConjunctiveQuery) -> list[Hom]:
     """All homomorphisms from q to itself fixing the free variables."""
     base = {v: v for v in q.free_vars}
-    search = _Search(q.atoms, base, _Target(q.atoms))
+    search = _Search(q.atoms, base, _Target(q))
     return [Hom(sol, q, q) for sol in search.solutions()]

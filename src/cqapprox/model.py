@@ -157,37 +157,54 @@ class ConjunctiveQuery:
         return serialize_query(self)
 
 
+def _intern(facts) -> tuple:
+    """The form `hom._Target` reads: the terms in canonical order, each
+    term's id, the id rows per relation in fact order, and an index dict."""
+    values = sorted({t for f in facts for t in f.args})
+    eid = dict(zip(values, range(len(values))))
+    rels: dict[str, list[tuple]] = {}
+    for f in facts:
+        rels.setdefault(f.relation, []).append(tuple(map(eid.__getitem__, f.args)))
+    return values, eid, rels, {}
+
+
 @dataclass(frozen=True)
 class Database:
+    """Ground facts, sorted and deduplicated. Their interned form
+    (`_intern`) is built once, on first use, and shared by every search;
+    `parse_database` builds the form, and the facts only when read."""
+
     facts: tuple[Atom, ...]
     # relation -> arity from the construction check; shared, never mutated
     arities: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         facts = tuple(sorted(dict.fromkeys(self.facts)))
-        object.__setattr__(self, "facts", facts)
-        # one pass checks kinds and arities; a variable anywhere is reported
-        # before any arity clash, which `_check_arities` then names
-        arities: dict[str, int] = {}
-        clash = False
-        for a in facts:
-            args = a.args
-            for t in args:
+        for a in facts:  # a variable anywhere is reported before an arity clash
+            for t in a.args:
                 if t.kind != CONSTANT:
                     raise CqError(f"variable {t.name} in database fact {a}")
-            if arities.setdefault(a.relation, len(args)) != len(args):
-                clash = True
-        if clash:
-            _check_arities(facts, "database")
-        arities = _SCHEMAS.setdefault(frozenset(arities.items()), arities)
-        object.__setattr__(self, "arities", arities)
+        object.__setattr__(self, "facts", facts)
+        object.__setattr__(self, "arities", _check_arities(facts, "database"))
+        object.__setattr__(self, "_form", None)
+
+    def __getattr__(self, name):  # the facts of a parsed Database, on first read
+        if name != "facts":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values, _, rels, _ = self._form
+        facts = tuple([_new(Atom, (rel, tuple(map(values.__getitem__, row))))
+                       for rel in sorted(rels) for row in rels[rel]])
+        object.__setattr__(self, "facts", facts)
+        return facts
+
+    def _interned(self) -> tuple:
+        if self._form is None:
+            object.__setattr__(self, "_form", _intern(self.facts))
+        return self._form
 
     @property
     def adom(self) -> frozenset[Term]:
-        out = set()
-        for a in self.facts:
-            out.update(a.args)
-        return frozenset(out)
+        return frozenset(self._interned()[0])
 
     def __repr__(self):
         return serialize_database(self)
@@ -241,7 +258,8 @@ _CONST_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 # catch-all takes all the rest where no fact starts: only the last match can
 # hold it, and no long name is rescanned from each of its characters.
 _COMMENT_RE = re.compile(r"#[^\n]*")
-_GLUED_RE = re.compile(r"[A-Za-z0-9_]\s+[A-Za-z0-9_]")
+# Two names apart; led by whitespace, so it skips the names' characters fast.
+_GLUED_RE = re.compile(r"\s(?<=[A-Za-z0-9_]\s)\s*[A-Za-z0-9_]")
 _FACT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z0-9_]+(?:,[A-Za-z0-9_]+)*)\)\.|(.+)", re.S)
 
 
@@ -355,20 +373,39 @@ def parse_query(text: str) -> ConjunctiveQuery:
 def parse_database(text: str) -> Database:
     """Parse a facts file: one fact ``R(c1,...,ck).`` per line, # comments.
 
-    A few C-level passes accept a valid file. A text they reject, or an
-    arity clash, goes to the token reader, `_read_database`, to be explained."""
+    A few C-level passes accept a valid file and build the Database's
+    interned form from the names they read, making no `Atom`. A text
+    they reject, or an arity clash, goes to the token reader,
+    `_read_database`, to be explained."""
     bare = _COMMENT_RE.sub("", text) if "#" in text else text
     if not _GLUED_RE.search(bare):  # else compaction would glue two names
         found = _FACT_RE.findall("".join(bare.split()))
         if not found or not found[-1][2]:
-            terms: dict[str, Term] = {}
-            facts = [_new(Atom, (rel, tuple([terms.get(c) or terms.setdefault(c, Const(c))
-                                             for c in args.split(",")])))
-                     for rel, args, _ in found]
-            try:
-                return Database(tuple(facts))
-            except ArityError:
-                pass  # the token reader points at the clashing fact
+            by_rel: dict[str, list[str]] = {}
+            for rel, args, _ in found:
+                by_rel.setdefault(rel, []).append(args)
+            del found  # to keep the peak low, each relation is deduplicated and split alone
+            # ',' sorts below every name character, so argument strings
+            # sort as their tuples of names, and so as their id rows
+            seen: set[str] = set()
+            for rel, strs in by_rel.items():
+                by_rel[rel] = strs = sorted(set(strs))
+                seen.update(",".join(strs).split(","))
+            names = sorted(seen)
+            nid = dict(zip(names, range(len(names)))).__getitem__
+            rels, arities = {}, {}
+            for rel in sorted(by_rel):
+                strs = by_rel.pop(rel)
+                commas = {args.count(",") for args in strs}
+                if len(commas) > 1:
+                    return _read_database(text)  # it points at the clashing fact
+                arities[rel] = n = commas.pop() + 1
+                rels[rel] = list(zip(*[map(nid, ",".join(strs).split(","))] * n))
+            values = [_new(Term, (CONSTANT, c)) for c in names]
+            db = object.__new__(Database)  # its facts are built when read
+            db.__dict__.update(_form=(values, dict(zip(values, range(len(values)))), rels, {}),
+                               arities=_SCHEMAS.setdefault(frozenset(arities.items()), arities))
+            return db
     return _read_database(text)
 
 

@@ -57,6 +57,15 @@ class WinningFamily:
     unions: list[KUnion]
     members: list[list[dict[Term, Term]]]
 
+    def __getattr__(self, name):  # `_Game.family` leaves the members coded
+        coded = self.__dict__.pop("_coded", None) if name == "members" else None
+        if coded is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        base, values, vlists, members = coded
+        self.members = [[dict(base) | dict(zip(vlist, map(values.__getitem__, m))) for m in ms]
+                        for vlist, ms in zip(vlists, members)]
+        return self.members
+
 
 def k_unions(src, k: int) -> list[KUnion]:
     """All k-unions in canonical order, one minimal witness each."""
@@ -106,7 +115,7 @@ class _Game:
         self.unions: list[KUnion] = []
         if self.base is None:
             return
-        self.target = target = _Target(_atoms_of(tgt))
+        self.target = target = _Target(tgt)
         self.bid = {s: target.eid.get(t, -1) for s, t in self.base.items()}
         src_atoms = _atoms_of(src)
         slot = {t: s for s, t in enumerate(self.bid)}
@@ -216,12 +225,11 @@ class _Game:
         return self.all_nonempty()
 
     def family(self) -> WinningFamily:
-        value = self.target.values.__getitem__
-        decoded = [
-            [dict(self.base) | dict(zip(vlist, map(value, m))) for m in ms]
-            for vlist, ms in zip(self.vlists, self.members)
-        ]
-        return WinningFamily(dict(self.base), list(self.unions), decoded)
+        """The winning family, its members decoded on first read."""
+        family = WinningFamily.__new__(WinningFamily)
+        family.anchors, family.unions = dict(self.base), list(self.unions)
+        family._coded = (self.base, self.target.values, self.vlists, self.members)
+        return family
 
 
 def wins_cover_game(

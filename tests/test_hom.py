@@ -1,11 +1,14 @@
 """Homomorphism search, evaluation, containment and cores against the
 brute-force oracles."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
 from cqapprox import hom
+from cqapprox.approx import eval_overapprox
 from cqapprox.gen import gen_qn_prime
 from cqapprox.hom import (
     contains,
@@ -417,3 +420,29 @@ def test_endomorphisms_match_oracle():
         got = sorted(tuple(sorted(h.mapping.items())) for h in endomorphisms(q))
         want = sorted(tuple(sorted(m.items())) for m in brute_endomorphisms(q))
         assert got == want
+
+
+def test_anchored_calls_into_one_database_keep_no_memory():
+    # one Database shares its interned form and join indexes with every
+    # call; what a call builds for its own anchors must go with the call
+    rng = random.Random(7)
+    consts = [Const(f"c{i}") for i in range(300)]
+    db = Database(tuple(
+        Atom("E", (rng.choice(consts), rng.choice(consts))) for _ in range(1000)
+    ))
+    q = parse_query("q(x,y) :- E(x,z), E(z,y).")
+    pairs = rng.sample([(a, b) for a in consts[:60] for b in consts[:60]], 500)
+    tracemalloc.start()
+    try:
+        sizes = []
+        for i, tup in enumerate(pairs):
+            if i % 2:
+                eval_overapprox(q, db, tup, 1)
+            else:
+                find_hom(q, q.free_vars, db, tup)
+            if i in (9, len(pairs) - 1):
+                gc.collect()  # also empties the free lists, which read as growth
+                sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sizes[1] - sizes[0] < 16_000

@@ -2,6 +2,7 @@
 conjunction, Gaifman components."""
 
 import copy
+import itertools
 import pickle
 import random
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cqapprox.constraints import parse_dependencies
+from cqapprox.hom import evaluate, find_hom
 from cqapprox.model import (
     ArityError,
     Atom,
@@ -33,6 +35,7 @@ from cqapprox.model import (
     serialize_query,
     serialize_tuple,
 )
+from cqapprox.pebble import wins_cover_game
 
 from _oracles import brute_find_hom, isomorphic
 from _support import c2, rand_cq, rand_db, triangle
@@ -184,21 +187,29 @@ SEPARATORS = [" ", "\t", "\n", "\r\n", "\x1c", "\xa0", "\x85", "\u2028", "\u3000
 MUTATION_CHARS = "(),.#=-> a1_"
 
 
+ARITY = {"E": 2, "R": 3, "P_1": 1}
+
+
 @st.composite
-def fact_texts(draw):
+def fact_texts(draw, valid=False):
     """A fact file from the grammar, with separators between all tokens,
     then at most one character inserted, deleted or replaced, or two
-    names glued by turning a comma into a separator."""
-    sep = st.lists(st.sampled_from(SEPARATORS[:-2] * 8 + SEPARATORS[-2:]), max_size=2).map("".join)
+    names glued by turning a comma into a separator. A `valid` file uses
+    each relation at one arity, may repeat facts, and is left unchanged."""
+    seps = SEPARATORS[:-2] * (1 if valid else 8) + ([] if valid else SEPARATORS[-2:])
+    sep = st.lists(st.sampled_from(seps), max_size=2).map("".join)
     parts = [draw(sep)]
-    for _ in range(draw(st.integers(0, 4))):
-        parts += [draw(st.sampled_from(["E", "R", "P_1"])), draw(sep), "(", draw(sep)]
-        for i in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 8 if valid else 4))):
+        rel = draw(st.sampled_from(["E", "R", "P_1"]))
+        parts += [rel, draw(sep), "(", draw(sep)]
+        for i in range(ARITY[rel] if valid else draw(st.integers(1, 3))):
             if i:
                 parts += [",", draw(sep)]
             parts += [draw(st.sampled_from(["a", "b", "c1", "_", "0"])), draw(sep)]
         parts += [")", draw(sep), ".", draw(sep)]
     text = "".join(parts)
+    if valid:
+        return text
     how = draw(st.sampled_from(["none", "insert", "delete", "replace", "glue"]))
     commas = [i for i, ch in enumerate(text) if ch == ","]
     if how == "glue" and commas:
@@ -227,6 +238,44 @@ def test_parse_database_agrees_with_the_token_reader(text):
 def test_parse_database_agrees_on_text_outside_the_drawn_alphabet():
     for text in ("E(a,b).\nE(a).", "é(a).", "E(a) :- E(b).", "1E(a).", "E(a)" * 3000):
         assert _outcome(parse_database, text) == _outcome(_read_database, text)
+
+
+DIFF_QUERIES = [parse_query(t) for t in (
+    "q() :- E(x,y), E(y,x).",
+    "q(x) :- E(x,y), E(y,z).",
+    "q(x) :- E(x,x), P_1(x).",
+    "q(x,y) :- R(x,y,z), P_1(z).",
+    "q(x,x) :- R(x,y,y).",
+)]
+
+
+def _readings(db):
+    """What the library reads from db: witnesses, answers and verdicts."""
+    adom = sorted(db.adom)
+    out = []
+    for q in DIFF_QUERIES:
+        out.append(sorted(evaluate(q, db)))
+        for tup in itertools.product(adom, repeat=len(q.free_vars)):
+            h = find_hom(q, q.free_vars, db, tup)
+            out.append((h and h.mapping, wins_cover_game(q, q.free_vars, db, tup, 1)[0]))
+    return out
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(fact_texts(valid=True))
+def test_parsed_database_reads_as_one_built_from_its_facts(text):
+    built = Database(_read_database(text).facts)
+    parsed = parse_database(text)
+    # nothing below reads the parsed facts, which stay unbuilt
+    assert parsed.arities == built.arities and parsed.adom == built.adom
+    assert _readings(parsed) == _readings(built)
+    assert "facts" not in vars(parsed)
+    assert parsed.facts == built.facts
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert _readings(parsed) == _readings(built)
+    # `built` is interned by now; a fresh copy of it is not
+    again = Database(built.facts)
+    assert again == built and hash(again) == hash(built) and again.adom == built.adom
 
 
 def test_parse_unsafe_head_variable():
