@@ -5,8 +5,8 @@ identify variables (finite, unique result, with the witnessing
 homomorphism h onto the result), tgds add atoms with fresh nulls in
 fair breadth-first rounds up to a depth cap. One generator, `_triggers`,
 serves satisfies, each egd step and each tgd round: over one indexed
-`hom._Target` per instance, `_Target.join` matches each body and checks
-each tgd head with every frontier slot bound. Containment and
+`hom._Target` per instance, `_Target.join` lists each body's images of
+the equated or frontier variables and each tgd head's. Containment and
 overapproximation evaluation under constraints reduce to homomorphism
 and cover-game checks against the chased query; for guarded tgds and a
 satisfying database the game can skip the chase entirely.
@@ -18,7 +18,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from cqapprox.hom import Hom, _Target, find_hom
+from cqapprox.hom import Hom, _numbered, _Target, find_hom
 from cqapprox.model import (
     ArityError,
     Atom,
@@ -32,6 +32,7 @@ from cqapprox.model import (
     _check_arities,
     _parse_atom,
     _Tokens,
+    _UnionFind,
 )
 from cqapprox.pebble import wins_cover_game
 
@@ -165,39 +166,24 @@ def _triggers(facts, deps):
     """The active triggers of deps on the facts (an instance, or a list of
     atoms), dependency by dependency.
 
-    An egd yields (egd, h) for every body match h with h(y) ≠ h(z); a tgd
-    yields (tgd, frontier map) once per frontier image with no head
-    witness. Body matches come in lexicographic order of the facts
-    matched. One target index serves the body joins and the head checks.
+    An egd yields (egd, {y: h(y), z: h(z)}) once per such image of a body
+    match h with h(y) ≠ h(z); a tgd yields (tgd, frontier map) once per
+    frontier image of a body match that no head match has. Images come
+    where body matches, in lexicographic order of the facts matched,
+    first reach them.
     """
     target = _Target(facts)
     values = target.values
     for dep in deps:
-        slot: dict[Term, int] = {}
-        for a in dep.body:
-            for t in a.args:
-                slot.setdefault(t, len(slot))
-        matches = target.join(dep.body, slot, [None] * len(slot))
-        if isinstance(dep, Egd):
-            y, z = slot[dep.eq[0]], slot[dep.eq[1]]
-            for m in matches:
-                if m[y] != m[z]:
-                    yield dep, {v: values[m[s]] for v, s in slot.items()}
-            continue
-        frontier = tuple(sorted(dep.frontier))
-        head_slot = {x: s for s, x in enumerate(frontier)}
-        for a in dep.head:
-            for t in a.args:
-                head_slot.setdefault(t, len(head_slot))
-        unbound = [None] * (len(head_slot) - len(frontier))
-        seen = set()
-        for m in matches:
-            key = tuple(m[slot[x]] for x in frontier)
-            if key in seen:
-                continue
-            seen.add(key)
-            if next(target.join(dep.head, head_slot, [*key, *unbound]), None) is None:
-                yield dep, {x: values[i] for x, i in zip(frontier, key)}
+        slot = _numbered(dep.body, ())
+        egd = isinstance(dep, Egd)
+        names = dep.eq if egd else tuple(sorted(dep.frontier))
+        if not egd:
+            head_slot = _numbered(dep.head, names)
+            kept = set(target.join(dep.head, head_slot, [None] * len(head_slot), range(len(names))))
+        for key in target.join(dep.body, slot, [None] * len(slot), [slot[x] for x in names]):
+            if key[0] != key[1] if egd else key not in kept:
+                yield dep, dict(zip(names, map(values.__getitem__, key)))
 
 
 def satisfies(inst, deps) -> bool:
@@ -219,8 +205,10 @@ def chase_egds(q: ConjunctiveQuery, deps) -> ChaseResult:
 
     Variables are identified in place, the smaller term in canonical
     order becoming the representative; free variables are terms like any
-    other, so two free positions may merge. Returns the result and the
-    surjective homomorphism h with h(q) = result.
+    other, so two free positions may merge. Each round merges every
+    trigger found on the round's atoms; the fixpoint, and so the result,
+    is the same in any order. Returns the result and the surjective
+    homomorphism h with h(q) = result.
     """
     egds, tgds = _split(deps, q)
     if tgds:
@@ -228,16 +216,13 @@ def chase_egds(q: ConjunctiveQuery, deps) -> ChaseResult:
     mapping: dict[Term, Term] = {v: v for v in q.variables}
     atoms = list(q.atoms)
 
-    while (trigger := next(_triggers(atoms, egds), None)) is not None:
-        dep, h = trigger
-        keep, drop = sorted((h[dep.eq[0]], h[dep.eq[1]]))
-        atoms = [
-            Atom(a.relation, tuple(keep if t == drop else t for t in a.args))
-            for a in atoms
-        ]
-        seen: set[Atom] = set()
-        atoms = [a for a in atoms if not (a in seen or seen.add(a))]
-        mapping = {src: (keep if tgt == drop else tgt) for src, tgt in mapping.items()}
+    while pending := list(_triggers(atoms, egds)):
+        sets = _UnionFind()
+        for dep, h in pending:
+            keep, drop = sorted((sets.find(h[dep.eq[0]]), sets.find(h[dep.eq[1]])))
+            sets.union(drop, keep)
+        atoms = list(dict.fromkeys(Atom(a.relation, tuple(map(sets.find, a.args))) for a in atoms))
+        mapping = {src: sets.find(tgt) for src, tgt in mapping.items()}
 
     head = tuple(mapping[v] for v in q.free_vars)
     result = ConjunctiveQuery(head, tuple(atoms), q.name)

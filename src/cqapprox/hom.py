@@ -3,22 +3,22 @@
 `_Target` is the one place where a target is indexed. It reads one
 interned form, each fact once as a row of element ids per relation (ids
 in canonical order, so id order is `Term` order): a Database's, made
-once and shared by every call into it, or a query's, made per call. Two
-algorithms read it, each for its own job:
+once and shared by every call into it, or a query's, made per call. Its
+hash indexes, keyed by (relation, bound positions, repeated positions),
+are built once per form and read by two algorithms, each for its job:
 
-- `_Target.join` lists homomorphisms, for the cover game's answers, the
-  chase's triggers and each tgd head check (every frontier slot bound).
-  Set at a time, each step extends every partial solution by one atom
-  through a hash index keyed by (relation, bound positions, repeated
-  positions). Listing them with `_Search` would pay an O(|domain|)
-  assign, propagate and undo at every node; built so, the game's
-  answers kept a 15-s `cli_mix` benchmark run going past 300 s.
+- `_Target.join` lists answer sets: evaluate's answers, the cover game's
+  members, the chase's triggers and tgd head checks. Set at a time, each
+  step extends every partial solution by one atom through one index
+  lookup, and a variable is dropped once no later atom and no answer
+  reads it (Yannakakis 1981). Listing them with `_Search` would pay an
+  O(|domain|) assign, propagate and undo at every node.
 - `_Search` finds a first homomorphism, for find_hom and core, and lists
   endomorphisms. It is exact backtracking that keeps generalized arc
   consistency by support counting (AC-4, Mohr & Henderson 1986):
-  - The id rows fitting a source atom (its relation, its repetition
-    pattern and its anchored positions) are selected once per such
-    signature and indexed per variable slot and value.
+  - The rows fitting a source atom (its relation, its repetition pattern
+    and its anchored positions) are read from the index at the anchor
+    key, once per such signature, and indexed per variable slot and value.
   - Every (atom, slot, value) keeps a count of live rows. Removing a
     value from a domain kills its rows; a count that falls to 0 removes
     that value from the slot's variable.
@@ -108,10 +108,10 @@ def _anchor_map(src_tuple, tgt_tuple):
 
 class _Target:
     """A target's interned form (`model._intern`) and its indexes, built
-    on first use. The rows fitting each signature, for `_Search`, hold
-    anchor values and stay with this object, made per call; the hash index
-    per relation and pattern, for `join`, stays with the form, which a
-    Database shares with every call."""
+    on first use. The hash index per relation and pattern, which `join`
+    and `_Rows` read, stays with the form, which a Database shares with
+    every call; the rows fitting each signature, for `_Search`, hold
+    anchor values and stay with this object, made per call."""
 
     def __init__(self, thing):
         if isinstance(thing, Database):
@@ -124,7 +124,7 @@ class _Target:
     def rows(self, relation, pattern) -> _Rows:
         key = (relation, pattern)
         if key not in self.sigs:
-            self.sigs[key] = _Rows(self.rels.get(relation, []), pattern, self)
+            self.sigs[key] = _Rows(relation, pattern, self)
         return self.sigs[key]
 
     def index(self, relation, pattern) -> list | set | dict:
@@ -172,21 +172,32 @@ class _Target:
         self.indexes[key] = found
         return found
 
-    def join(self, atoms, slot, m):
-        """Yield every homomorphism from `atoms` into the facts extending m.
+    def join(self, atoms, slot, m, keep):
+        """Yield the image of the `keep` slots, a tuple of ids, under each
+        homomorphism from `atoms` into the facts that extends m: each
+        image once, where the homomorphisms first reach it.
 
         `slot` numbers the atoms' terms, and m holds an id per slot, None
-        where unbound; every slot must be bound by m or by some atom. Each
-        solution is m completed, as a tuple. Set at a time, each step
-        extends every partial solution (the ids bound so far, in binding
-        order) by one atom, through one lookup of its bound values in
-        `index`. Extensions come in fact order, so solutions come in
-        lexicographic order of the facts matched. An id that no fact
+        where unbound; every slot must be bound by m or by some atom. Set
+        at a time, each step extends every partial solution (the ids
+        bound so far) by one atom, through one lookup of its bound values
+        in `index`. Extensions come in fact order, so homomorphisms come
+        in lexicographic order of the facts matched. A slot that neither
+        `keep` nor a later atom reads is then cut, keeping the first of
+        any partials it alone told apart: the join stays polynomial in its
+        answers where listing homomorphisms is not. An id that no fact
         holds, as for an anchor value outside the target, matches nothing.
         """
         start = [s for s, v in enumerate(m) if v is not None]
         at = dict(zip(start, itertools.count()))  # slot -> position in a partial
         partials = [tuple(map(m.__getitem__, start))]
+        cuts = []  # from the last atom but one back, the slots cut after each
+        if cutting := len(set(keep).union(start)) < len(m):  # an unbound slot is not kept
+            later = set(keep)
+            for a in reversed(atoms):
+                cuts.append(set(map(slot.__getitem__, a.args)) - later)
+                later.update(map(slot.__getitem__, a.args))
+            del cuts[0]  # the images' dedupe cuts after the last atom
         for a in atoms:
             pattern, key, fresh = [], [], {}
             for s in map(slot.__getitem__, a.args):
@@ -208,9 +219,21 @@ class _Target:
                 return iter(())
             for s in fresh:
                 at[s] = len(at)
-        if list(at) == sorted(at):  # bound in slot order
+            if cuts and (cut := cuts.pop()):
+                live = [s for s in at if s not in cut]
+                partials = list(dict.fromkeys(_project(partials, [at[s] for s in live])))
+                at = dict(zip(live, itertools.count()))
+        if list(at) == list(keep):
             return iter(partials)
-        return map(itemgetter(*map(at.__getitem__, range(len(m)))), partials)
+        images = _project(partials, list(map(at.__getitem__, keep)))
+        return iter(dict.fromkeys(images)) if cutting else images
+
+
+def _project(rows, positions):
+    """Each row's items at `positions`, as a tuple."""
+    if len(positions) > 1:
+        return map(itemgetter(*positions), rows)
+    return zip(map(itemgetter(*positions), rows)) if positions else (() for _ in rows)
 
 
 class _Rows:
@@ -218,40 +241,26 @@ class _Rows:
 
     A signature is a relation plus a pattern: per argument position,
     either the anchored target value or the number of the variable slot
-    (slots numbered by first occurrence). `ids[r]` is the id row of the
-    r-th fitting fact and `rows[r]` its values per slot (the same list
-    when nothing is anchored or repeated), `cols[j]` the values of slot j
-    in row order, `hits[j]` maps a value id to the rows holding it in
-    slot j, and `counts[j]` counts them.
+    (slots numbered by first occurrence). `rows[r]` holds the r-th fitting
+    fact's values per slot: the extensions `_Target.index` keeps at the
+    anchor key, with the anchored positions bound. `cols[j]` holds the
+    values of slot j in row order, `hits[j]` maps a value id to the rows
+    holding it in slot j, and `counts[j]` counts them.
     """
 
-    __slots__ = ("ids", "rows", "cols", "hits", "counts", "at")
+    __slots__ = ("shape", "rows", "cols", "hits", "counts", "at")
 
-    def __init__(self, ids, pattern, target):
-        eid = target.eid
-        anchored = [(p, eid.get(t, -1)) for p, t in enumerate(pattern) if not isinstance(t, int)]
-        first: dict[int, int] = {}
-        repeats = []
-        for p, s in enumerate(pattern):
-            if isinstance(s, int):
-                if s in first:
-                    repeats.append((p, first[s]))
-                else:
-                    first[s] = p
-        if anchored or repeats:
-            ids = [
-                row
-                for row in ids
-                if all(row[p] == v for p, v in anchored)
-                and all(row[p] == row[q] for p, q in repeats)
-            ]
-            pos = tuple(first.values())
-            self.rows = rows = [tuple([row[p] for p in pos]) for row in ids]
-        else:
-            self.rows = rows = ids
-        self.ids = ids
+    def __init__(self, relation, pattern, target):
+        key = tuple([target.eid.get(t, -1) for t in pattern if not isinstance(t, int)])
+        shape = tuple([s if isinstance(s, int) else None for s in pattern]) if key else pattern
+        self.shape = shape, key
+        rows = target.index(relation, shape)
+        if key:
+            k = key if len(key) > 1 else key[0]  # as `index` keys it
+            rows = ([()] if k in rows else []) if len(key) == len(pattern) else rows.get(k, [])
+        self.rows = rows
         self.cols = list(zip(*rows))
-        self.hits = [{} for _ in first]
+        self.hits = [{} for _ in set(shape) - {None}]
         for r, row in enumerate(rows):
             for hits, val in zip(self.hits, row):
                 if val in hits:
@@ -270,10 +279,20 @@ class _Rows:
             self.counts.append(cnt)
         self.at = None
 
+    def id_rows(self) -> list[tuple]:
+        """Each fitting fact's id row, rebuilt from the anchor key and its
+        slot values."""
+        shape, key = self.shape
+        if not key and len(shape) == len(self.hits):  # neither anchored nor repeated
+            return self.rows
+        anchored = itertools.count(len(self.hits))
+        fill = [next(anchored) if s is None else s for s in shape]
+        return [tuple(map((row + key).__getitem__, fill)) for row in self.rows]
+
     def row_of(self, row) -> int | None:
         """The number of the fitting fact with id row `row`, or None."""
         if self.at is None:
-            self.at = {f: r for r, f in enumerate(self.ids)}
+            self.at = {f: r for r, f in enumerate(self.id_rows())}
         return self.at.get(row)
 
 
@@ -308,12 +327,9 @@ class _Search:
             slots: list[int] = []
             pattern = []
             for t in a.args:
-                if t in self.base:
-                    pattern.append(self.base[t])
-                else:
-                    if vid[t] not in slots:
-                        slots.append(vid[t])
-                    pattern.append(slots.index(vid[t]))
+                if t not in self.base and vid[t] not in slots:
+                    slots.append(vid[t])
+                pattern.append(self.base[t] if t in self.base else slots.index(vid[t]))
             self.sig.append(target.rows(a.relation, tuple(pattern)))
             self.slots.append(tuple(slots))
             self.by_rel.setdefault(a.relation, []).append(i)
@@ -577,15 +593,10 @@ def find_hom(source, src_tuple, target, tgt_tuple) -> Hom | None:
     that are renamings of one another are solved once.
     """
     check_schemas_agree(source, target)
-    return _find_hom(source, src_tuple, target, tgt_tuple, _Target(target))
-
-
-def _find_hom(source, src_tuple, target, tgt_tuple, tgt: _Target) -> Hom | None:
-    """find_hom into `target`, prepared as `tgt`, after its schema check."""
     base = _anchor_map(src_tuple, tgt_tuple)
     if base is None:
         return None
-    mapping = _solve(_split_components(_atoms_of(source), base), {}, base, tgt)
+    mapping = _solve(_split_components(_atoms_of(source), base), {}, base, _Target(target))
     if mapping is None:
         return None
     rest = _elements_of(source) - set(mapping)
@@ -664,29 +675,43 @@ def _solve(comps, states, base, tgt: _Target, drop=None) -> dict | None:
 
 
 def evaluate(q: ConjunctiveQuery, db: Database) -> set:
-    """q(D): every tuple ā with a homomorphism (D_q, x̄) → (D, ā)."""
+    """q(D): every tuple ā with a homomorphism (D_q, x̄) → (D, ā), by one
+    join of the body cut to the head variables it binds. A head variable
+    outside the body ranges over the active domain."""
     check_schemas_agree(q, db)
-    if q.is_boolean:
-        return {()} if find_hom(q, (), db, ()) is not None else set()
     target = _Target(db)
-    distinct = sorted(set(q.free_vars))
-    cands = []
-    for v in distinct:
-        cand = None
-        for a in q.atoms:
-            for p, t in enumerate(a.args):
-                if t == v:
-                    here = set(map(itemgetter(p), target.rels.get(a.relation, ())))
-                    cand = here if cand is None else cand & here
-        cands.append(target.values if cand is None else [target.values[i] for i in sorted(cand)])
-
-    answers = set()
-    for combo in itertools.product(*cands):
-        assign = dict(zip(distinct, combo))
-        tgt = tuple(assign[v] for v in q.free_vars)
-        if _find_hom(q, q.free_vars, db, tgt, target) is not None:
-            answers.add(tgt)
+    atoms = _bound_first(q.atoms, ())
+    slot = _numbered(atoms, ())
+    inside = [v for v in dict.fromkeys(q.free_vars) if v in slot]
+    outside = list(set(q.free_vars).difference(slot))
+    values, answers = target.values, set()
+    for image in target.join(atoms, slot, [None] * len(slot), [slot[v] for v in inside]):
+        h = dict(zip(inside, map(values.__getitem__, image)))
+        for rest in itertools.product(values, repeat=len(outside)):
+            h.update(zip(outside, rest))
+            answers.add(tuple(map(h.__getitem__, q.free_vars)))
     return answers
+
+
+def _numbered(atoms, first) -> dict[Term, int]:
+    """A number per term: those of `first` in order, then the atoms' others."""
+    slot = dict(zip(first, itertools.count()))
+    for a in atoms:
+        for t in a.args:
+            slot.setdefault(t, len(slot))
+    return slot
+
+
+def _bound_first(atoms, bound) -> list[Atom]:
+    """The atoms in join order: next the first one with the most terms
+    bound, by `bound` or by the atoms before it."""
+    bound, rest, out = set(bound), list(atoms), []
+    while rest:
+        a = max(rest, key=lambda b: sum(t in bound for t in b.args))
+        rest.remove(a)
+        out.append(a)
+        bound.update(a.args)
+    return out
 
 
 def contains(q: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:

@@ -13,13 +13,12 @@ homomorphically equivalent (`_Tree`).
 All three solvers, constrained_wins_1 included, run one loop,
 `_Game.run`, over one state. Answers are id tuples over the target's
 `hom._Target` index, and a union's answers come from `_Target.join`,
-the one enumerator of all homomorphisms, through indexes every union
-shares. Unions are linked only when they
-share an unanchored variable (the overlap graph); any other pair only
-asks for a non-empty partner. Each barrier round after the first
-re-checks a union only against neighbours that lost answers in the
-round before (the frontier), which keeps every round equal to one level
-of the bounded game.
+the one lister of answer sets, through indexes every union shares.
+Unions are linked only when they share an unanchored variable (the
+overlap graph); any other pair only asks for a non-empty partner. Each
+barrier round after the first re-checks a union only against neighbours
+that lost answers in the round before (the frontier), which keeps every
+round equal to one level of the bounded game.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from operator import itemgetter
 
 from cqapprox.model import Atom, ConjunctiveQuery, CqError, Term, Var
 from cqapprox.model import check_schemas_agree
-from cqapprox.hom import _anchor_map, _atoms_of, _Target
+from cqapprox.hom import _anchor_map, _atoms_of, _bound_first, _numbered, _Target
 from cqapprox.width import TreeDecomposition
 
 
@@ -121,7 +120,7 @@ class _Game:
         slot = {t: s for s, t in enumerate(self.bid)}
         held = [a for a in src_atoms if all(t in slot for t in a.args)]
         self.anchors_ok = not held or next(
-            target.join(held, slot, list(self.bid.values())), None
+            target.join(held, slot, list(self.bid.values()), ()), None
         ) is not None
         if not self.anchors_ok:
             return
@@ -159,22 +158,12 @@ class _Game:
         and the other contained atoms. With anchors, atoms go bound-first
         (most bound positions, anchors counted, ties in witness order);
         without, reordering costs more than it saves on small games."""
-        slot = {v: p for p, v in enumerate(vlist)}
-        for a in contained:
-            for t in a.args:
-                slot.setdefault(t, len(slot))  # anchors outside the union
+        slot = _numbered(contained, vlist)  # then anchors outside the union
         atoms = list(u.witness) + [a for a in contained if a not in u.witness]
-        bound = set(self.bid)
-        if bound and any(t in bound for a in atoms for t in a.args):
-            rest, atoms = atoms, []
-            while rest:
-                a = max(rest, key=lambda b: sum(t in bound for t in b.args))
-                rest.remove(a)
-                atoms.append(a)
-                bound.update(a.args)
-        sols = self.target.join(atoms, slot, [self.bid.get(t) for t in slot])
-        n = len(vlist)
-        return sorted({m[:n] for m in sols})
+        if self.bid and any(t in self.bid for a in atoms for t in a.args):
+            atoms = _bound_first(atoms, self.bid)
+        m = [self.bid.get(t) for t in slot]
+        return sorted(self.target.join(atoms, slot, m, range(len(vlist))))
 
     def sweep(self) -> bool:
         """One barrier round: drop members lacking a compatible partner in

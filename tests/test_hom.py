@@ -18,7 +18,7 @@ from cqapprox.hom import (
     evaluate,
     find_hom,
 )
-from cqapprox.model import ArityError, Atom, Const, Database, Var, parse_query
+from cqapprox.model import ArityError, Atom, Const, Database, Var, parse_database, parse_query
 
 from _oracles import (
     brute_core,
@@ -151,6 +151,14 @@ def test_evaluate_agrees_with_oracle():
         q = rand_cq(rng, n_free=rng.choice((0, 1, 2)))
         db = rand_db(rng)
         assert evaluate(q, db) == brute_evaluate(q, db)
+
+
+def test_evaluate_cuts_existential_variables_as_it_joins():
+    # listing every homomorphism would take 8 * 7**12, about 1.1e11; the
+    # join drops each y_i once no later atom reads it
+    db = parse_database("".join(f"E(c{i},c{j})." for i in range(8) for j in range(8) if i != j))
+    q = parse_query("q(x) :- " + ", ".join(f"E(x,y{i})" for i in range(1, 13)) + ".")
+    assert evaluate(q, db) == {(Const(f"c{i}"),) for i in range(8)}
 
 
 def test_evaluate_builds_one_target_index(monkeypatch):
@@ -308,8 +316,8 @@ def _by_value(search):
     nonzero counts."""
     values = search.values
     live = [
-        sorted(tuple(values[x] for x in sig.ids[r]) for r, on in enumerate(alive) if on)
-        for sig, alive in zip(search.sig, search.alive)
+        sorted(tuple(values[x] for x in ids[r]) for r, on in enumerate(alive) if on)
+        for ids, alive in zip((sig.id_rows() for sig in search.sig), search.alive)
     ]
     counts = [
         [{values[d]: c for d, c in enumerate(cnt) if c} for cnt in cs] for cs in search.counts

@@ -1,9 +1,15 @@
 """Differential properties of the homomorphism engines and of satisfies.
 
-- `_Target.join` finds exactly the homomorphisms the brute-force oracle
-  finds, and, with the body matched as written, in lexicographic order
-  of the facts matched (the order the chase names its nulls by), also
-  when a second join reads indexes that a first built on the target;
+- `_Target.join` lists exactly the homomorphisms the brute-force oracle
+  finds, projected to the kept slots, each image once and, with the body
+  matched as written, in the order the homomorphisms first reach it in
+  lexicographic order of the facts matched (the order the chase names
+  its nulls by), also when a second join reads indexes that a first
+  built on the target;
+- `evaluate` gives the brute-force answers, also with repeated head
+  variables, head variables outside the body, empty bodies and Boolean
+  heads, over databases that are empty or share no relation with the
+  body;
 - `_Search` returns a homomorphism the oracle finds, and None iff there
   is none;
 - `_Search` starts from the greatest arc-consistent state, as plain sets
@@ -24,7 +30,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cqapprox.constraints import Egd, Tgd, chase_tgds, satisfies  # noqa: E402
-from cqapprox.hom import _Search, _Target, core, equivalent  # noqa: E402
+from cqapprox.hom import _Search, _Target, core, equivalent, evaluate  # noqa: E402
 from cqapprox.model import (  # noqa: E402
     Atom,
     ConjunctiveQuery,
@@ -34,7 +40,7 @@ from cqapprox.model import (  # noqa: E402
     canonical_database,
 )
 
-from _oracles import brute_core, brute_homs, brute_satisfies  # noqa: E402
+from _oracles import brute_core, brute_evaluate, brute_homs, brute_satisfies  # noqa: E402
 
 SCHEMA = (("E", 2), ("P", 1))
 TERNARY = SCHEMA + (("T", 3),)
@@ -157,9 +163,11 @@ def listed(text, terms):
 DIFF = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 
-def check_join(target, body, facts, anchors):
-    """`target.join` of the body as written finds the oracle's homs, in
-    lexicographic order of the facts matched."""
+def check_join(target, body, facts, anchors, keep):
+    """`target.join` of the body as written, cut to the `keep` slots,
+    lists the oracle's homs projected to `keep`, each image once, in the
+    order the homs first reach it in lexicographic order of the facts
+    matched."""
     slot = {}
     for a in body:
         for t in a.args:
@@ -167,26 +175,70 @@ def check_join(target, body, facts, anchors):
     start = [None] * len(slot)
     for v, c in anchors.items():
         start[slot[v]] = target.eid.get(c, -1)
-    found = [
-        {v: target.values[m[s]] for v, s in slot.items()}
-        for m in target.join(body, slot, start)
-    ]
-    want = oracle(body, facts, anchors)
-    assert {frozenset(h.items()) for h in found} == {frozenset(h.items()) for h in want}
-    assert len(found) == len(want)
+    found = [tuple(map(target.values.__getitem__, m)) for m in target.join(body, slot, start, keep)]
     index = {f: n for n, f in enumerate(facts)}
-    order = [
-        tuple(index[Atom(a.relation, tuple(h[t] for t in a.args))] for a in body)
-        for h in found
-    ]
-    assert order == sorted(order)
+    homs = sorted(
+        oracle(body, facts, anchors),
+        key=lambda h: [index[Atom(a.relation, tuple(h[t] for t in a.args))] for a in body],
+    )
+    terms = list(slot)
+    assert found == list(dict.fromkeys(tuple(h[terms[s]] for s in keep) for h in homs))
+
+
+@st.composite
+def keep_cases(draw):
+    """A join case whose facts hold the body's image under some
+    extension of the anchors, and the slots to keep: none, a proper
+    subset in any order, every slot, or one slot twice (as for an egd
+    y = y)."""
+    body, facts, anchors = draw(join_cases())
+    h = {v: draw(st.sampled_from(CONSTS)) for v in VARS} | anchors
+    facts = list(dict.fromkeys(facts + [Atom(a.relation, tuple(map(h.get, a.args))) for a in body]))
+    n = len({t for a in body for t in a.args})
+    kind = draw(st.sampled_from(("none", "some", "every", "twice")))
+    if kind == "some":
+        keep = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n - 1))
+    elif kind == "twice":
+        keep = [draw(st.integers(0, n - 1))] * 2
+    else:
+        keep = range(n) if kind == "every" else ()
+    return body, facts, anchors, keep
 
 
 @DIFF
-@given(join_cases())
+@given(keep_cases())
+# u1 is cut after E: the first of the two partials with u0 = c0 stays,
+# ahead of u0 = c1; with one atom, the images repeat until the end
+@example((listed("E 0 1, P 0", VARS), listed("E 0 1, E 1 0, E 0 2, P 0, P 1", CONSTS), {}, [0]))
+@example((listed("E 0 1", VARS), listed("E 0 1, E 0 2", CONSTS), {}, [0]))
 def test_join_finds_the_oracle_homs_in_fact_order(case):
-    body, facts, anchors = case
-    check_join(_Target(facts), body, facts, anchors)
+    body, facts, anchors, keep = case
+    check_join(_Target(facts), body, facts, anchors, keep)
+
+
+@st.composite
+def eval_cases(draw):
+    """(query, database): up to 4 body atoms, perhaps none; up to 3 head
+    variables with repeats, u3 never in the body; facts over some of E,
+    P and T, perhaps none."""
+    body = draw(atoms(VARS, 0, 4, TERNARY))
+    head = draw(st.lists(st.sampled_from(VARS + [Var("u3")]), max_size=3))
+    schema = draw(st.lists(st.sampled_from(TERNARY), min_size=1, unique=True))
+    facts = draw(atoms(CONSTS, 0, 8, tuple(schema)))
+    return ConjunctiveQuery(tuple(head), tuple(body)), Database(tuple(facts))
+
+
+@DIFF
+@given(eval_cases())
+@example((ConjunctiveQuery((), ()), Database(())))
+@example((ConjunctiveQuery((VARS[0], VARS[0]), ()), Database((Atom("P", (CONSTS[0],)),))))
+@example((ConjunctiveQuery((VARS[1], Var("u3"), VARS[1]), tuple(listed("E 0 1", VARS))),
+          Database(tuple(listed("E 0 1, E 1 1, P 2", CONSTS)))))
+@example((ConjunctiveQuery((VARS[0],), tuple(listed("T 0 1 1", VARS))),
+          Database(tuple(listed("E 0 1", CONSTS)))))
+def test_evaluate_matches_the_oracle(case):
+    q, db = case
+    assert evaluate(q, db) == brute_evaluate(q, db)
 
 
 @st.composite
@@ -212,9 +264,10 @@ def test_a_second_join_reads_the_indexes_of_the_first(case):
     kept as they are."""
     body, facts, anchors, again = case
     target = _Target(facts)
-    check_join(target, body, facts, anchors)
+    every = range(len({t for a in body for t in a.args}))
+    check_join(target, body, facts, anchors, every)
     built = dict(target.indexes)
-    check_join(target, body[::-1], facts, again)
+    check_join(target, body[::-1], facts, again, every)
     assert all(target.indexes[k] is v for k, v in built.items())
 
 
@@ -252,7 +305,7 @@ def test_search_starts_from_the_greatest_arc_consistent_state(case):
         for k, v in enumerate(search.vars)
     } == dom
     for i, a in enumerate(body):
-        ids = search.sig[i].ids
+        ids = search.sig[i].id_rows()
         held = [
             Atom(a.relation, tuple(values[x] for x in ids[r]))
             for r, on in enumerate(search.alive[i]) if on
