@@ -263,7 +263,7 @@ def _named_after(
     variable. A variable's first copy in the witness becomes the variable
     itself, each later one `<name>_<i>` with the least i whose name
     neither q nor an earlier copy holds. Free variables are no copies and
-    keep their names."""
+    keep their names. An atom equal to one of q's is q's own object."""
     used = {v.name for v in q.variables}
     present = witness.variables
     count: dict[Term, int] = {}
@@ -281,8 +281,9 @@ def _named_after(
             name = f"{d.name}_{count[d]}"
         used.add(name)
         rename[copy] = Var(name)
-    atoms = (Atom(a.relation, tuple(rename.get(t, t) for t in a.args)) for a in witness.atoms)
-    return ConjunctiveQuery(witness.free_vars, tuple(atoms), witness.name)
+    own = dict(zip(q.atoms, q.atoms))
+    atoms = [Atom(a.relation, tuple(rename.get(t, t) for t in a.args)) for a in witness.atoms]
+    return ConjunctiveQuery(witness.free_vars, tuple(own.get(a, a) for a in atoms), witness.name)
 
 
 # --- the greedy width-1 algorithm (Boolean, binary schema) --------------------

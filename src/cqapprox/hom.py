@@ -47,7 +47,10 @@ the states, propagating, searching, and undoing back to the mark. On
 success it jumps to the image of the homomorphism found and repeats. An
 atom once shown non-removable is never tested again: if q ↛ q − b, no
 image I ⊆ q of q that contains b maps into I − b, since q → I → I − b
-would follow.
+would follow. So b lies in every endomorphism's image: when one
+component holds every search variable, a state where a variable of b has
+left every domain has no solution (`_Search.pin`); with more, another
+component may take it.
 """
 
 from __future__ import annotations
@@ -319,6 +322,7 @@ class _Search:
         self.abits = max(1, len(atoms).bit_length())
         self.vbits = max(1, len(self.vars).bit_length())
         self.trail = None  # the initial state is never undone: no entries
+        self.held = None  # see pin()
 
         self.sig: list[_Rows] = []
         self.slots: list[tuple[int, ...]] = []
@@ -441,7 +445,7 @@ class _Search:
 
         A killed row is always finished, every slot count lowered, before
         returning: undo() restores whole rows."""
-        alive, counts, slots = self.alive[i], self.counts[i], self.slots[i]
+        alive, counts, slots, held = self.alive[i], self.counts[i], self.slots[i], self.held
         rows, dom, size, trail = self.sig[i].rows, self.dom, self.size, self.trail
         for r in rs:
             if not alive[r]:
@@ -460,6 +464,10 @@ class _Search:
                     size[v] -= 1
                     if trail is not None:
                         trail.append(~(val << self.vbits | v))
+                    if held is not None:
+                        held[val] -= 1
+                        if not held[val] and val in self.pinned:
+                            wiped = True
                     if not size[v]:
                         wiped = True
                         continue
@@ -474,26 +482,40 @@ class _Search:
         """Process removed (var, value) pairs, oldest first, to the
         arc-consistent fixpoint. Oldest first finds a wipe-out in far
         fewer steps than newest first on the drops core() makes."""
-        occ, sig, pop = self.occ, self.sig, queue.popleft
+        occ, sig, counts, pop = self.occ, self.sig, self.counts, queue.popleft
         while queue:
             v = pop()
             d = pop()
             for i, j in occ[v]:
-                rs = sig[i].hits[j].get(d)
-                if rs and not self._kill(i, rs, queue, changed):
+                # a count of 0: every row of atom i holding d at slot j is dead
+                if counts[i][j][d] and not self._kill(i, sig[i].hits[j][d], queue, changed):
                     return False
         return True
 
     def _assign(self, v, val, changed) -> bool:
-        dv = self.dom[v]
+        dv, held = self.dom[v], self.held
         queue: deque[int] = deque()
         for d in itertools.compress(range(len(dv)), dv):
             if d != val:
                 dv[d] = 0
                 queue += (v, d)
                 self.trail.append(~(d << self.vbits | v))
+                if held is not None:
+                    held[d] -= 1
         self.size[v] = 1
         return self._propagate(queue, changed)
+
+    def pin(self, values):
+        """Make `_kill` end, as a wipe-out, a state where a pinned value has
+        left every domain: sound only if every solution takes each pinned
+        value (see core). The first call counts in `held` the domains holding each value."""
+        if self.held is None:
+            ids = range(len(self.values))
+            self.held = held = [0] * len(ids)
+            for d in itertools.chain(*(itertools.compress(ids, f) for f in self.dom)):
+                held[d] += 1
+            self.pinned = set()
+        self.pinned.update(map(self.eid.__getitem__, values))
 
     def drop(self, fact) -> bool:
         """Remove one target fact and propagate; False on a wipe-out.
@@ -510,7 +532,7 @@ class _Search:
 
     def undo(self, mark) -> set[int]:
         """Pop the trail back to `mark`; returns the variables restored."""
-        trail, dom, size = self.trail, self.dom, self.size
+        trail, dom, size, held = self.trail, self.dom, self.size, self.held
         amask, vmask = (1 << self.abits) - 1, (1 << self.vbits) - 1
         restored = set()
         while len(trail) > mark:
@@ -521,6 +543,8 @@ class _Search:
                 dom[v][e >> self.vbits] = 1
                 size[v] += 1
                 restored.add(v)
+                if held is not None:
+                    held[e >> self.vbits] += 1
             else:
                 i = e & amask
                 r = e >> self.abits
@@ -736,7 +760,9 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     non-removable. A fixpoint admits no proper retraction at all (a
     retraction would miss some atom, making that atom removable), so the
     fixpoint is the core. The homomorphism for an atom is the one
-    find_hom(current, free, current − atom, free) returns.
+    find_hom(current, free, current − atom, free) returns. With one
+    component of unanchored variables, its search pins the variables of
+    the atoms shown non-removable (see the module docstring).
     """
     base = {v: v for v in q.free_vars}
     current = q
@@ -745,12 +771,20 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
         comps = list(_split_components(current.atoms, base))
         tgt = _Target(current)
         states: dict[tuple, _Search] = {}
+        loose = [(atoms, key) for atoms, order, key in comps if order]
+        pinned = None
         for a in current.atoms:
             if a in fixed:
                 continue
+            if len(loose) == 1 and pinned is None:
+                atoms, key = loose[0]
+                states[key] = pinned = _Search(atoms, base, tgt)
+                pinned.pin(t for b in fixed for t in b.args if t not in base)
             h = _solve(comps, states, base, tgt, a)
             if h is None:
                 fixed.add(a)
+                if pinned is not None:
+                    pinned.pin(t for t in a.args if t not in base)
                 continue
             image = [Atom(b.relation, tuple(map(h.get, b.args))) for b in current.atoms]
             current = ConjunctiveQuery(current.free_vars, tuple(image), q.name)

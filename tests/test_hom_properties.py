@@ -16,6 +16,8 @@
   cut to a fixpoint find it: the same domains, the same live facts per
   atom and every support count;
 - `satisfies` agrees with the brute-force trigger check;
+- `_Search` pinned with the variables of the atoms a query cannot lose
+  lists every endomorphism of its one component, also after a drop;
 - `core` is idempotent, equivalent to its input, and as small as the
   brute-force core;
 - a complete `chase_tgds` result satisfies its tgds, and the chase is
@@ -30,7 +32,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cqapprox.constraints import Egd, Tgd, chase_tgds, satisfies  # noqa: E402
-from cqapprox.hom import _Search, _Target, core, equivalent, evaluate  # noqa: E402
+from cqapprox.hom import _components, _Search, _Target, core, equivalent, evaluate  # noqa: E402
 from cqapprox.model import (  # noqa: E402
     Atom,
     ConjunctiveQuery,
@@ -322,6 +324,33 @@ def test_search_starts_from_the_greatest_arc_consistent_state(case):
 def test_satisfies_matches_the_oracle(facts, deps):
     db = Database(tuple(facts))
     assert satisfies(db, deps) == brute_satisfies(db, deps)
+
+
+@DIFF
+@given(queries(VARS5, 7))
+def test_pins_keep_every_endomorphism_of_one_component(q):
+    # cut to its anchored atoms and one component, q has one search, and
+    # every endomorphism's image holds each atom q cannot lose: pinned with
+    # their variables, the search lists the same solutions
+    base = {v: v for v in q.free_vars}
+    anchored, groups = _components(q.atoms, base)
+    if not groups:
+        return
+    body = anchored + groups[0]
+    terms = {t for a in body for t in a.args}
+    q = ConjunctiveQuery(tuple(v for v in q.free_vars if v in terms), tuple(body))
+    free = q.free_vars
+    base = {v: v for v in free}
+    kept = [b for b in q.atoms if not brute_homs(q, free, q.without_atom(b), free)]
+    plain, pinned = (_Search(groups[0], base, _Target(q)) for _ in range(2))
+    pinned.pin(t for b in kept for t in b.args if t not in base)
+    for a in [None, *q.atoms]:
+        listed = []
+        for search in (plain, pinned):
+            mark = len(search.trail)
+            listed.append(list(search.solutions()) if a is None or search.drop(a) else [])
+            search.undo(mark)
+        assert listed[0] == listed[1], a
 
 
 @DIFF
