@@ -41,7 +41,6 @@ from cqapprox.pebble import (
     WinningFamily,
     _Tree,
     constrained_wins_1,
-    unroll_size,
     wins_cover_game,
 )
 from cqapprox.width import (
@@ -184,8 +183,8 @@ def exists_overapprox(
     homomorphically equivalent to the complete tree that `unroll` builds,
     so the verdict is the same and the witness is the same core up to
     the names of its variables. `budget` caps the atoms the complete q_c
-    would emit (`unroll_size`), so the pruned search stops where the
-    complete one did and never runs longer than it.
+    would emit (`_Tree.size`, as `unroll_size` reports it), so the pruned
+    search stops where the complete one did and never runs longer.
 
     Only part of q_c is retracted (`_equivalent_part`): a union P of
     connected components of q_c, fully anchored atoms included, that q's
@@ -203,7 +202,7 @@ def exists_overapprox(
         raise CqError(f"cmax must be at least 1, got {cmax}")
     tree = _Tree(q, k, pruned=True)
     for c in range(1, cmax + 1):
-        if budget is not None and (size := unroll_size(q, k, c)) > budget:
+        if budget is not None and (size := tree.size(c)) > budget:
             warnings.warn(
                 f"stopping at depth {c}: unrolling would emit "
                 f"{size} atoms (budget {budget})",
@@ -263,7 +262,8 @@ def _named_after(
     variable. A variable's first copy in the witness becomes the variable
     itself, each later one `<name>_<i>` with the least i whose name
     neither q nor an earlier copy holds. Free variables are no copies and
-    keep their names. An atom equal to one of q's is q's own object."""
+    keep their names. An atom equal to one of q's is q's own object, and
+    a witness equal to q is q itself."""
     used = {v.name for v in q.variables}
     present = witness.variables
     count: dict[Term, int] = {}
@@ -283,7 +283,8 @@ def _named_after(
         rename[copy] = Var(name)
     own = dict(zip(q.atoms, q.atoms))
     atoms = [Atom(a.relation, tuple(rename.get(t, t) for t in a.args)) for a in witness.atoms]
-    return ConjunctiveQuery(witness.free_vars, tuple(own.get(a, a) for a in atoms), witness.name)
+    named = ConjunctiveQuery(witness.free_vars, tuple(own.get(a, a) for a in atoms), witness.name)
+    return q if named == q else named
 
 
 # --- the greedy width-1 algorithm (Boolean, binary schema) --------------------

@@ -10,27 +10,28 @@ homomorphisms into D are exactly the c-round Duplicator wins.
 exists_overapprox cuts q_c from a smaller, overlap-pruned tree that is
 homomorphically equivalent (`_Tree`).
 
-All three solvers, constrained_wins_1 included, run one loop,
-`_Game.run`, over one state. Answers are id tuples over the target's
-`hom._Target` index, and a union's answers come from `_Target.join`,
-the one lister of answer sets, through indexes every union shares.
+All three solvers, constrained_wins_1 included, run one pass routine,
+`_Game.sweep`, over one state. Answers are id tuples over the target's
+`hom._Target` index, listed by `_Target.join` once per join shape.
 Unions are linked only when they share an unanchored variable (the
-overlap graph); any other pair only asks for a non-empty partner. Each
-barrier round after the first re-checks a union only against neighbours
-that lost answers in the round before (the frontier), which keeps every
-round equal to one level of the bounded game.
+overlap graph), and a union is re-checked only against neighbours that
+lost answers since its last check. The unbounded games settle by
+propagation, as AC-3 does: checks read the current answers, and a loss
+queues the unions that read the loser. The bounded game passes in
+barrier rounds, each read from its start and so one level.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 
 from cqapprox.model import Atom, ConjunctiveQuery, CqError, Term, Var
 from cqapprox.model import check_schemas_agree
-from cqapprox.hom import _anchor_map, _atoms_of, _bound_first, _numbered, _Target
+from cqapprox.hom import _anchor_map, _atoms_of, _bound_first, _project, _Target
 from cqapprox.width import TreeDecomposition
 
 
@@ -98,13 +99,17 @@ class _Game:
     tuples aligned with its sorted variable list `vlists[i]` (anchors
     included, the same in every member); since id order is `Term` order,
     `family()` decodes them into exactly the dicts, in exactly the
-    order, that a solver over `Term` values would keep.
+    order, that a solver over `Term` values would keep. Unions of one
+    join shape share one members list, so no list is changed in place.
 
     `pairs[i]` is union i's row in the overlap graph: one `(j, pi, pj)`
     per union j sharing an unanchored variable with i, `pi` and `pj`
     giving the shared variables' positions in each union. A union j
     sharing no such variable only has to be non-empty, which `run()`
-    checks with `all_nonempty()` before each round.
+    checks with `all_nonempty()` before each pass. `seen[i]` is the
+    clock of union i's last check and `stamp[j]` the clock from which
+    union j's members can be read: i is re-checked against j only while
+    `stamp[j] > seen[i]`.
     """
 
     def __init__(self, src, src_tuple, tgt, tgt_tuple, k):
@@ -118,7 +123,7 @@ class _Game:
         self.bid = {s: target.eid.get(t, -1) for s, t in self.base.items()}
         src_atoms = _atoms_of(src)
         slot = {t: s for s, t in enumerate(self.bid)}
-        held = [a for a in src_atoms if all(t in slot for t in a.args)]
+        held = [a for a in src_atoms if slot.keys() >= {*a.args}]
         self.anchors_ok = not held or next(
             target.join(held, slot, list(self.bid.values()), ()), None
         ) is not None
@@ -126,90 +131,123 @@ class _Game:
             return
         self.unions = k_unions(src, k)
         self.vlists = [sorted(u.vars) for u in self.unions]
+        contained = _node_atoms(src_atoms, self.unions, self.bid)
+        shapes: dict[tuple, tuple | list] = {}
         self.members = [
-            self._enumerate(u, vlist, contained)
-            for u, vlist, contained in zip(
-                self.unions, self.vlists, _node_atoms(src_atoms, self.unions, self.bid)
-            )
+            self._enumerate(*union, shapes) for union in zip(self.unions, self.vlists, contained)
         ]
 
-        by_var: dict[Term, list[int]] = {}
-        for i, vlist in enumerate(self.vlists):
-            for v in vlist:
+        # per unanchored variable, (union, position) in union order (a lone
+        # union has no pair); a pair's two rows list shared variables in `at` order
+        at: dict[Term, list[tuple[int, int]]] = {}
+        for i, vlist in enumerate(self.vlists if len(self.vlists) > 1 else ()):
+            for p, v in enumerate(vlist):
                 if v not in self.bid:
-                    by_var.setdefault(v, []).append(i)
-        pos = [{v: p for p, v in enumerate(vlist)} for vlist in self.vlists]
-        self.pairs: list[list[tuple[int, tuple, tuple]]] = []
-        for i, vlist in enumerate(self.vlists):
-            row = []
-            for j in sorted({j for v in vlist for j in by_var.get(v, ())} - {i}):
-                shared = [v for v in vlist if v in pos[j] and v not in self.bid]
-                row.append(
-                    (j, tuple(pos[i][v] for v in shared), tuple(pos[j][v] for v in shared))
-                )
-            self.pairs.append(row)
-        # unions that lost members in the last round; every union at first
-        self.lost = set(range(len(self.unions)))
-        self.rechecked: list[int] = []  # per round, the unions it re-checked
+                    at.setdefault(v, []).append((i, p))
+        shared: list[dict[int, list]] = [{} for _ in self.unions]
+        for occ in at.values():
+            for (i, p), (j, q) in itertools.permutations(occ, 2):
+                shared[i].setdefault(j, []).append((p, q))
+        self.pairs = [[(j, *zip(*pq)) for j, pq in sorted(row.items())] for row in shared]
+        self.clock, self.seen, self.stamp = 0, [-1] * len(shared), [0] * len(shared)
+        self.rechecked: list[int] = []  # per pass, the unions it re-checked
 
-    def _enumerate(self, u: KUnion, vlist, contained) -> list[tuple]:
+    def _enumerate(self, u: KUnion, vlist, contained, shapes) -> list[tuple]:
         """All valid partial homs on u.vars ∪ anchors, as sorted id tuples:
         the join of the witness atoms (which cover every union variable)
         and the other contained atoms. With anchors, atoms go bound-first
         (most bound positions, anchors counted, ties in witness order);
-        without, reordering costs more than it saves on small games."""
-        slot = _numbered(contained, vlist)  # then anchors outside the union
-        atoms = list(u.witness) + [a for a in contained if a not in u.witness]
-        if self.bid and any(t in self.bid for a in atoms for t in a.args):
-            atoms = _bound_first(atoms, self.bid)
+        without, reordering costs more than it saves on small games.
+
+        The answers depend only on the union's join shape: its contained
+        atoms with terms numbered by first occurrence, the ids bound per
+        number and the numbers kept. A shape is joined once; unions of it
+        share the list, or a reordered copy made once per variable order."""
+        slot, shape = {}, []  # numbered by first occurrence, not by name
+        for a in contained:
+            shape.append(a.relation)
+            for t in a.args:
+                shape.append(slot.setdefault(t, len(slot)))
         m = [self.bid.get(t) for t in slot]
-        return sorted(self.target.join(atoms, slot, m, range(len(vlist))))
+        keep = tuple(map(slot.__getitem__, vlist))
+        shape = (*shape, *m, *sorted(keep))
+        if shape not in shapes:
+            atoms = list(u.witness) + [a for a in contained if a not in u.witness]
+            if self.bid and any(t in self.bid for a in atoms for t in a.args):
+                atoms = _bound_first(atoms, self.bid)
+            shapes[shape] = keep, sorted(self.target.join(atoms, slot, m, keep))
+        first, answers = shapes[shape]
+        if keep != first:  # the same answers, in another variable order
+            if (shape, keep) not in shapes:
+                at = {s: p for p, s in enumerate(first)}
+                shapes[shape, keep] = sorted(_project(answers, [at[s] for s in keep]))
+            return shapes[shape, keep]
+        return answers
 
-    def sweep(self) -> bool:
-        """One barrier round: drop members lacking a compatible partner in
-        some neighbouring union, judged against the pre-round state. True
-        if anything was deleted.
+    def sweep(self, live: bool = False) -> bool:
+        """One pass: re-check each union against the neighbours whose
+        stamp is past its own last check, dropping members that lack a
+        compatible partner there; a member had partners in an unchanged
+        neighbour. A union cut at clock t is stamped t + 1: the unions
+        checked at clock t or before read it uncut.
 
-        The first round checks every pair of `pairs`. A later round checks
-        union i only against the neighbours in `lost`, those that lost
-        members in the round before: a member of L_t[i] had partners in
-        L_{t-1}[j], so it still has them if L_t[j] = L_{t-1}[j]. The round
-        therefore equals an all-pairs round, and one round is still one
-        level of the bounded game.
+        Barrier (`live` False): one round, read from the members and
+        stamps at its start, so one level of the bounded game. The clock
+        ticks once, at the end; True if the round cut anything. Live:
+        checks read the current state and the clock ticks after each
+        check. A cut drops the union's cached signatures and queues the
+        unions that read it (first in, first out, in union order at
+        first). The pass ends at the greatest fixpoint or once a union is
+        empty, and returns False: the game is settled.
         """
-        lost, members = self.lost, self.members
-        sigs: dict[tuple, set] = {}
-        self.lost = set()
-        self.members = list(members)
-        rechecked = 0
-        for i, row in enumerate(self.pairs):
-            checks = [(j, pi, pj) for j, pi, pj in row if j in lost]
+        pairs, seen, read, was = self.pairs, self.seen, self.members, self.stamp
+        if not live:  # write to copies, read the round's start
+            self.members, self.stamp = list(read), list(was)
+        members, stamp = self.members, self.stamp
+        queue = deque(itertools.compress(range(len(pairs)), pairs))
+        clock, sigs, changed, rechecked = self.clock, {}, False, 0
+        while queue:
+            i = queue.popleft()
+            row, since = pairs[i], seen[i]
+            checks = [(j, pi, pj) for j, pi, pj in row if was[j] > since]
             if not checks:
                 continue
             rechecked += 1
+            seen[i] = clock
             keep = members[i]
             for j, pi, pj in checks:
                 if (j, pj) not in sigs:
-                    sigs[j, pj] = set(map(itemgetter(*pj), members[j]))
+                    sigs[j, pj] = set(map(itemgetter(*pj), read[j]))
                 get, sig = itemgetter(*pi), sigs[j, pj]
                 keep = [m for m in keep if get(m) in sig]
             if len(keep) != len(members[i]):
-                self.members[i] = keep
-                self.lost.add(i)
+                members[i], stamp[i], changed = keep, clock + 1, True
+                if live:
+                    if not keep:
+                        break
+                    for j, pi, _ in row:  # the unions that read i check it again
+                        sigs.pop((i, pi), None)
+                        queue.append(j)
+            if live:
+                clock += 1
         self.rechecked.append(rechecked)
-        return bool(self.lost)
+        if live:
+            self.clock = clock
+            return False
+        self.clock = clock + 1
+        return changed
 
     def all_nonempty(self) -> bool:
         return all(self.members)
 
     def run(self, rounds: int | None = None) -> bool:
-        """Sweep until nothing changes, some union is empty, or `rounds`
-        rounds have run. True iff the anchors hold and every union keeps
-        a member."""
+        """Settle the game, or play `rounds` barrier rounds of it: pass
+        until nothing changes or some union is empty. True iff the
+        anchors hold and every union keeps a member."""
         if not self.anchors_ok:
             return False
         for _ in itertools.count() if rounds is None else range(rounds):
-            if not self.all_nonempty() or not self.sweep():
+            if not self.all_nonempty() or not self.sweep(live=rounds is None):
                 break
         return self.all_nonempty()
 
@@ -271,13 +309,7 @@ def constrained_wins_1(src: ConjunctiveQuery, X, tgt: ConjunctiveQuery, X2) -> b
 
 def unroll_size(q: ConjunctiveQuery, k: int, c: int) -> int:
     """Number of atoms unroll will emit (before deduplication)."""
-    unions = k_unions(q, k)
-    n = len(unions)
-    per_node = sum(map(len, _node_atoms(q.atoms, unions, q.free_vars)))
-    if n == 0 or c == 0:
-        return 0
-    levels = c if n == 1 else (n**c - 1) // (n - 1)
-    return per_node * levels
+    return _Tree(q, k, pruned=False).size(c)
 
 
 def unroll(q: ConjunctiveQuery, k: int, c: int, budget: int = 50_000) -> ConjunctiveQuery:
@@ -302,7 +334,7 @@ def unroll_with_decomposition(
     tree = _Tree(q, k, pruned=False)
     if c < 0:
         raise CqError(f"depth must be nonnegative, got {c}")
-    if budget is not None and (size := unroll_size(q, k, c)) > budget:
+    if budget is not None and (size := tree.size(c)) > budget:
         warnings.warn(
             f"unrolling emits {size} atoms (budget {budget})",
             UnrollBudgetWarning,
@@ -346,6 +378,11 @@ class _Tree:
             ]
         else:
             self.children = [every] * len(unions)
+
+    def size(self, c: int) -> int:
+        """Atoms the complete q_c emits, before deduplication."""
+        n = len(self.vlists)  # a tree without unions emits nothing at any depth
+        return sum(map(len, self.contained)) * (c if n < 2 else (n**c - 1) // (n - 1))
 
     def build(self, c: int) -> tuple[ConjunctiveQuery, TreeDecomposition]:
         """q_c and the decomposition it carries, nodes numbered and

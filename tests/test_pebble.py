@@ -19,6 +19,7 @@ from cqapprox.model import (
 from cqapprox.gen import gen_qn, gen_qn_prime
 from cqapprox.hom import ArityError, find_hom
 
+import _oracles
 from _oracles import (
     brute_k_unions,
     oracle_wins_bounded,
@@ -27,6 +28,7 @@ from _oracles import (
 )
 from _support import (
     c2,
+    directed_cycle,
     edge_db,
     loop,
     path2,
@@ -275,7 +277,49 @@ def _items(members):
     return [[list(h.items()) for h in ms] for ms in members]
 
 
-def test_families_and_levels_match_all_pairs_sweep():
+@pytest.fixture
+def configs_once(monkeypatch):
+    """Build each game's explicit configurations once per test: the
+    reference rebuilds them on every call, though only its round count
+    changes between calls."""
+    memo, build = {}, _oracles.game_configs
+
+    def cached(*args):
+        key = tuple(map(id, args))
+        if key not in memo:
+            memo[key] = args, build(*args)  # args kept alive, so ids stay unique
+        return memo[key][1]
+
+    monkeypatch.setattr(_oracles, "game_configs", cached)
+
+
+def _check_against_reference(q, src_tuple, db, tgt, k, rounds=5):
+    """The same family, members and their order, as the all-pairs sweep,
+    and the same bounded verdicts for c < rounds."""
+    won, family = pebble.wins_cover_game(q, src_tuple, db, tgt, k)
+    ref = reference_sweep_game(q, src_tuple, db, tgt, k)
+    assert (_items(family.members) if won else None) == (
+        None if ref is None else _items(ref)
+    ), (q, db, tgt, k)
+    anchors_ok = pebble._Game(q, src_tuple, db, tgt, k).anchors_ok
+    for c in range(rounds):
+        expect = anchors_ok if c == 0 else reference_sweep_game(
+            q, src_tuple, db, tgt, k, rounds=c - 1
+        ) is not None
+        assert pebble.wins_bounded(q, src_tuple, db, tgt, k, c) == expect, (q, db, c)
+
+
+def _renamed(q, rng):
+    """q with its variables renamed at random: structure no longer fixes
+    the order of a union's sorted variables, nor so its join shape."""
+    names = [Var(f"v{i}") for i in range(len(q.variables))]
+    rng.shuffle(names)
+    new = dict(zip(sorted(q.variables), names))
+    atoms = tuple(Atom(a.relation, tuple(map(new.get, a.args))) for a in q.atoms)
+    return ConjunctiveQuery(tuple(map(new.get, q.free_vars)), atoms, q.name)
+
+
+def test_families_and_levels_match_all_pairs_sweep(configs_once):
     # the overlap graph, the frontier and interned ids change no member,
     # no member order and no level of the bounded game
     rng = random.Random(990)
@@ -285,18 +329,35 @@ def test_families_and_levels_match_all_pairs_sweep():
     for n in (2, 3):  # the forward game takes several rounds to settle
         qn, qp = gen_qn(n), gen_qn_prime(n)
         cases += [(qp, (), qn, (), 1), (qn, (), qp, (), 1)]
-    for q, src_tuple, db, tgt, k in cases:
-        won, family = pebble.wins_cover_game(q, src_tuple, db, tgt, k)
-        ref = reference_sweep_game(q, src_tuple, db, tgt, k)
-        assert (_items(family.members) if won else None) == (
-            None if ref is None else _items(ref)
-        ), (q, db, tgt, k)
-        anchors_ok = pebble._Game(q, src_tuple, db, tgt, k).anchors_ok
-        for c in range(5):
-            expect = anchors_ok if c == 0 else reference_sweep_game(
-                q, src_tuple, db, tgt, k, rounds=c - 1
-            ) is not None
-            assert pebble.wins_bounded(q, src_tuple, db, tgt, k, c) == expect
+    for case in cases:
+        _check_against_reference(*case)
+
+
+def test_doubling_pairs_match_all_pairs_sweep(configs_once):
+    # both directions settle over several levels, and gen_qn(n) into
+    # gen_qn_prime(n - 1) is lost; renamed copies of one structure join
+    # under other shapes
+    rng = random.Random(18)
+    cases = []
+    for n in range(1, 6):
+        qn, qp = _renamed(gen_qn(n), rng), _renamed(gen_qn_prime(n), rng)
+        cases.append((qp, qn))
+        if n < 5:  # at n = 5 the reference tries 63^3 maps per union
+            cases.append((qn, qp))
+        if n > 1:
+            cases.append((qn, _renamed(gen_qn_prime(n - 1), rng)))
+    for src, tgt in cases:
+        _check_against_reference(src, (), tgt, (), 1, rounds=6)
+
+
+def test_unions_of_one_shape_apart_by_anchor_ids(configs_once):
+    # E(x,z) and E(y,z2) number their terms alike; only the ids bound to
+    # the anchors x and y tell the two joins apart
+    q = parse_query("q(x, y) :- E(x, z), E(y, z2).")
+    db = parse_database("E(a,c). E(b,d). E(b,e).")
+    tgt = (Const("a"), Const("b"))
+    assert [len(ms) for ms in pebble._Game(q, q.free_vars, db, tgt, 1).members] == [1, 2]
+    _check_against_reference(q, q.free_vars, db, tgt, 1)
 
 
 def test_variable_disjoint_union_left_when_partner_empties():
@@ -315,13 +376,35 @@ def test_variable_disjoint_union_left_when_partner_empties():
     assert not pebble.constrained_wins_1(q, set(), same_as_query, set())
 
 
+def test_lost_game_ends_before_every_union_is_checked():
+    # the 9-cycle has no image in the 8-edge path: barrier rounds re-check
+    # 9 unions in each of 4 rounds, propagation empties a union sooner
+    c9 = directed_cycle(9)
+    game = pebble._Game(c9, (), ConjunctiveQuery((), c9.atoms[:-1]), (), 1)
+    assert not game.run()
+    assert sum(game.rechecked) < len(game.unions) == 9
+
+
+def test_settled_game_rechecks_a_union_only_for_news():
+    # gen_qn_prime(6) settles into gen_qn(6) over 6 levels: barrier rounds
+    # re-check 333 unions, propagation 115, since a union queued again
+    # with nothing new to read is skipped
+    game = pebble._Game(gen_qn_prime(6), (), gen_qn(6), (), 1)
+    assert game.run()
+    assert sum(game.rechecked) < 2 * len(game.unions) == 126
+
+
 def test_frontier_rechecks_only_unions_next_to_a_loss():
     game = pebble._Game(chain_q, (), chain_db, (), 1)
     assert [sorted(v.name for v in u.vars) for u in game.unions] == [
         ["w", "z"], ["x", "y"], ["y", "z"]
     ]
-    assert game.sweep() and game.lost == {2}  # F(b,c) goes ...
-    assert game.sweep() and game.lost == {1}  # ... then E(a,b), its only partner
+
+    def cut():  # a round stamps the unions it cut with the clock it ends on
+        return {i for i, s in enumerate(game.stamp) if s == game.clock}
+
+    assert game.sweep() and cut() == {2}  # F(b,c) goes ...
+    assert game.sweep() and cut() == {1}  # ... then E(a,b), its only partner
     assert not game.sweep()
     assert not game.sweep()  # after a round that deleted nothing, none is re-checked
     # all 3 unions, F's 2 neighbours, E's 1 neighbour, then none
@@ -437,6 +520,17 @@ def test_constrained_win_implies_plain_win():
         x2 = {v for v in tgt_vars if rng.random() < 0.6}
         if pebble.constrained_wins_1(src, xs, tgt, x2):
             assert pebble.wins_cover_game(src, (), tgt, (), 1)[0]
+
+
+def test_constrained_restriction_spares_a_same_shape_partner():
+    # E(u,v) and E(x,y) share one answer list; restricting x must leave
+    # u its answer E(c,d), the only one F(v,w) extends
+    src = parse_query("q() :- E(x,y), E(u,v), F(v,w).")
+    tgt = parse_query("q() :- E(a,b), E(c,d), F(d,e).")
+    game = pebble._Game(src, (), tgt, (), 1)
+    assert game.members[0] is game.members[2]  # E(u,v) and E(x,y)
+    assert pebble.constrained_wins_1(src, {Var("x")}, tgt, {Var("a")})
+    assert not pebble.constrained_wins_1(src, {Var("u")}, tgt, {Var("a")})
 
 
 def test_constrained_requires_boolean():
