@@ -23,13 +23,13 @@ from cqapprox.model import (
     PreconditionUnknownError,
     Term,
     Var,
+    _components,
     connected_components,
     disjoint_conjunction,
     gaifman,
 )
 from cqapprox.hom import (
     Hom,
-    _components,
     contains,
     core,
     endomorphisms,
@@ -224,7 +224,7 @@ def _equivalent_part(
     """A union of q_c's connected components that q's k-cover game wins
     into, or q_c itself.
 
-    The components are those of `hom._components` with the free
+    The components are those of `model._components` with the free
     variables fixed, and fully anchored atoms always stay. Going through
     the unions of q's winning family into q_c, a union with no answer
     inside the components picked so far adds the components of the answer

@@ -28,9 +28,7 @@ from cqapprox.approx import (
 )
 from cqapprox.constraints import (
     ChaseDepthWarning,
-    Egd,
-    chase_egds,
-    chase_tgds,
+    _chase,
     contains_under,
     eval_overapprox_under,
     parse_dependencies,
@@ -348,10 +346,7 @@ def _run(args) -> tuple[str, dict | None, str | None]:
     if cmd == "chase":
         q = _load_query(args.query)
         deps = _load_deps(args.deps)
-        if deps and all(isinstance(d, Egd) for d in deps):
-            res = chase_egds(q, deps)
-        else:
-            res = chase_tgds(q, deps, max_depth=args.max_depth)
+        res = _chase(q, deps, args.max_depth)
         witness = {
             "query": serialize_query(res.query),
             "mapping": _hom_dict(res.hom_to_result),

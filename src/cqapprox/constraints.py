@@ -8,8 +8,8 @@ serves satisfies, each egd step and each tgd round: over one indexed
 `hom._Target` per instance, `_Target.join` lists each body's images of
 the equated or frontier variables and each tgd head's. Containment and
 overapproximation evaluation under constraints reduce to homomorphism
-and cover-game checks against the chased query; for guarded tgds and a
-satisfying database the game can skip the chase entirely.
+and cover-game checks against the chased query, `_chase` picking the
+chase; for guarded tgds and a satisfying database the game skips it.
 """
 
 from __future__ import annotations
@@ -271,6 +271,24 @@ def chase_tgds(q: ConjunctiveQuery, deps, max_depth: int = 16) -> ChaseResult:
     return ChaseResult(result, identity, not pending)
 
 
+def _kinds(q, deps, max_depth: int):
+    """The egds and the tgds of deps, checked as a chase of q reads them:
+    DependencyError for a mixed set, CqError for a negative max_depth."""
+    if max_depth < 0:
+        raise CqError(f"max_depth must be nonnegative, got {max_depth}")
+    egds, tgds = _split(deps, q)
+    if egds and tgds:
+        raise DependencyError("dependency set must be all egds or all tgds")
+    return egds, tgds
+
+
+def _chase(q: ConjunctiveQuery, deps, max_depth: int) -> ChaseResult:
+    """The one choice of chase: the egd chase for egds only, the tgd
+    chase for tgds only or none."""
+    egds, _ = _kinds(q, deps, max_depth)
+    return chase_egds(q, deps) if egds else chase_tgds(q, deps, max_depth)
+
+
 # --- containment and evaluation under constraints -----------------------------
 
 
@@ -285,20 +303,10 @@ def contains_under(
     proves containment (the prefix embeds in the full chase), but its
     absence proves nothing, reported as None.
     """
-    egds, tgds = _split(deps, q)
-    if egds and tgds:
-        raise DependencyError("dependency set must be all egds or all tgds")
-    if egds:
-        res = chase_egds(q, deps)
-        anchor = res.hom_to_result.tuple_image(q.free_vars)
-        return find_hom(q2, q2.free_vars, res.query, anchor) is not None
-    if not tgds:
-        return find_hom(q2, q2.free_vars, q, q.free_vars) is not None
-    res = chase_tgds(q, deps, max_depth)
-    hit = find_hom(q2, q2.free_vars, res.query, q.free_vars) is not None
-    if res.complete:
-        return hit
-    return True if hit else None
+    res = _chase(q, deps, max_depth)
+    anchor = res.hom_to_result.tuple_image(q.free_vars)
+    hit = find_hom(q2, q2.free_vars, res.query, anchor) is not None
+    return hit if res.complete or hit else None
 
 
 def eval_overapprox_under(
@@ -318,18 +326,12 @@ def eval_overapprox_under(
     definitive (the full chase can only shrink Duplicator's options) and
     True may overshoot, flagged by ChaseDepthWarning.
     """
-    egds, tgds = _split(deps, q)
-    if egds and tgds:
-        raise DependencyError("dependency set must be all egds or all tgds")
+    egds, tgds = _kinds(q, deps, max_depth)
     if not satisfies(db, deps):
         raise CqError("the database does not satisfy the dependencies")
-    if egds:
-        res = chase_egds(q, deps)
-        anchor = res.hom_to_result.tuple_image(q.free_vars)
-        return wins_cover_game(res.query, anchor, db, a, k)[0]
-    if not tgds or all(d.guarded for d in tgds):
+    if not egds and all(d.guarded for d in tgds):
         return wins_cover_game(q, q.free_vars, db, a, k)[0]
-    res = chase_tgds(q, deps, max_depth)
+    res = _chase(q, deps, max_depth)
     if not res.complete:
         warnings.warn(
             f"tgd chase capped after {max_depth} rounds; verdict computed "
@@ -337,4 +339,5 @@ def eval_overapprox_under(
             ChaseDepthWarning,
             stacklevel=2,
         )
-    return wins_cover_game(res.query, q.free_vars, db, a, k)[0]
+    anchor = res.hom_to_result.tuple_image(q.free_vars)
+    return wins_cover_game(res.query, anchor, db, a, k)[0]

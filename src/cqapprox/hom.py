@@ -67,8 +67,8 @@ from cqapprox.model import (
     ConjunctiveQuery,
     Database,
     Term,
+    _components,
     _intern,
-    _UnionFind,
     check_schemas_agree,
 )
 
@@ -630,25 +630,6 @@ def find_hom(source, src_tuple, target, tgt_tuple) -> Hom | None:
             return None
         mapping.update(dict.fromkeys(rest, min(pool)))
     return Hom(mapping, source, target)
-
-
-def _components(atoms, base) -> tuple[list[Atom], list[list[Atom]]]:
-    """The fully anchored atoms, and the others grouped by connected
-    component of their unanchored terms, sorted, by least atom."""
-    sets = _UnionFind()
-    for a in atoms:
-        free = [t for t in a.args if t not in base]
-        for u, w in zip(free, free[1:]):
-            sets.union(u, w)
-
-    groups: dict[Term | None, list[Atom]] = {}
-    for a in atoms:
-        free = [t for t in a.args if t not in base]
-        rep = sets.find(free[0]) if free else None
-        groups.setdefault(rep, []).append(a)
-
-    anchored = groups.pop(None, [])
-    return anchored, [sorted(groups[rep]) for rep in sorted(groups, key=lambda r: groups[r][0])]
 
 
 def _split_components(atoms, base):

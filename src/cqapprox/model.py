@@ -546,17 +546,29 @@ def gaifman(q: ConjunctiveQuery) -> GaifmanGraph:
     return GaifmanGraph(q.variables, frozenset(edges))
 
 
+def _components(atoms, fixed) -> tuple[list[Atom], list[list[Atom]]]:
+    """The atoms whose terms all lie in `fixed`, and the others grouped by
+    Gaifman-connected component of their other terms, in the order of each
+    group's least such term. Atoms keep their order within a group."""
+    sets = _UnionFind()
+    for a in atoms:
+        free = [t for t in a.args if t not in fixed]
+        for u, w in zip(free, free[1:]):
+            sets.union(u, w)
+    groups: dict[Term | None, list[Atom]] = {}
+    for a in atoms:
+        free = [t for t in a.args if t not in fixed]
+        groups.setdefault(sets.find(free[0]) if free else None, []).append(a)
+    anchored = groups.pop(None, [])
+    return anchored, sorted(
+        groups.values(), key=lambda g: min(t for a in g for t in a.args if t not in fixed)
+    )
+
+
 def connected_components(q: ConjunctiveQuery) -> list[ConjunctiveQuery]:
-    """Split a Boolean CQ into its Gaifman-connected components."""
+    """Split a Boolean CQ into its Gaifman-connected components, in the
+    order of their least variable (a nullary atom comes first, alone)."""
     if not q.is_boolean:
         raise CqError("connected_components requires a Boolean query")
-    sets = _UnionFind()
-    for a in q.atoms:
-        for t in a.args[1:]:
-            sets.union(a.args[0], t)
-    by_root: dict[Term, list[Atom]] = {}
-    for a in q.atoms:
-        by_root.setdefault(sets.find(a.args[0]), []).append(a)
-    # components in the order of their least variable
-    comps = sorted(by_root.values(), key=lambda atoms: min(t for a in atoms for t in a.args))
-    return [ConjunctiveQuery((), tuple(atoms), q.name) for atoms in comps]
+    nullary, groups = _components(q.atoms, ())
+    return [ConjunctiveQuery((), tuple(atoms), q.name) for atoms in [[a] for a in nullary] + groups]

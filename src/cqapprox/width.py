@@ -131,26 +131,12 @@ def validate_decomposition(q: ConjunctiveQuery, td: TreeDecomposition, k: int) -
     nodes = set(td.parent)
     if set(td.bags) != nodes:
         return False
-    roots = [n for n, p in td.parent.items() if p is None]
-    if nodes:
-        if len(roots) != 1:
-            return False
-        seen = set(roots)
-        frontier = list(roots)
-        children: dict[int, list[int]] = {n: [] for n in nodes}
-        for n, p in td.parent.items():
-            if p is not None:
-                if p not in nodes:
-                    return False
-                children[p].append(n)
-        while frontier:
-            n = frontier.pop()
-            for ch in children[n]:
-                if ch in seen:
-                    return False
-                seen.add(ch)
-                frontier.append(ch)
-        if seen != nodes:
+    # one root and a link per other node, none closing a cycle: a tree
+    if nodes and sum(p is None for p in td.parent.values()) != 1:
+        return False
+    sets = _UnionFind()
+    for n, p in td.parent.items():
+        if p is not None and (p not in nodes or not sets.union(n, p)):
             return False
 
     for bag in td.bags.values():

@@ -124,17 +124,32 @@ def brute_k_unions(source, k: int):
 
 
 def _all_partial_homs(union_vars, base, source, target, tgt_tuple):
+    """Every partial hom on the union plus the anchors, in sorted order.
+    The source atoms inside that domain go onto target atoms one at a
+    time, then each variable they leave unbound takes every element."""
     src_atoms = _atoms_of(source)
     tgt_atoms = set(_atoms_of(target))
     pool = sorted(_elements_of(target) | set(tgt_tuple))
-    free = sorted(set(union_vars) - set(base))
-    out = []
-    for choice in itertools.product(pool, repeat=len(free)):
-        mapping = dict(base)
-        mapping.update(zip(free, choice))
-        if _is_partial_hom(mapping, src_atoms, tgt_atoms):
-            out.append(tuple(sorted(mapping.items())))
-    return out
+    domain = set(union_vars) | set(base)
+    maps = [dict(base)]
+    for a in src_atoms:
+        if not set(a.args) <= domain:
+            continue
+        grown = []
+        for m in maps:
+            for b in tgt_atoms:
+                ext = dict(m)
+                if b.relation == a.relation and len(b.args) == len(a.args) and all(
+                    ext.setdefault(s, t) == t for s, t in zip(a.args, b.args)
+                ):
+                    grown.append(ext)
+        maps = grown
+    out = set()
+    for m in maps:
+        rest = sorted(domain - set(m))
+        for choice in itertools.product(pool, repeat=len(rest)):
+            out.add(tuple(sorted({**m, **dict(zip(rest, choice))}.items())))
+    return sorted(out)
 
 
 def _agree(h1, h2):

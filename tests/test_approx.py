@@ -527,6 +527,13 @@ def test_greedy_disconnected_drops_absorbed_components():
     assert out2 is not None and equivalent(out2, loop)
 
 
+def test_greedy_witness_follows_the_component_order():
+    # E(z,z) and E(b,b) are equivalent loops; the first component listed,
+    # {z, a}, is absorbed, so the witness is the second one's loop
+    q = parse_query("q() :- E(z,z), E(z,a), E(b,b).")
+    assert serialize_query(approx.greedy_ghw1_overapprox(q)) == "q() :- E(b, b)."
+
+
 def test_greedy_disconnected_keeps_incomparable_components():
     punary = parse_query("q() :- P(x).")
     q = disjoint_conjunction(c2, punary)

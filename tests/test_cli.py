@@ -56,6 +56,7 @@ def files(tmp_path):
         "loop_db": write("loop.facts", "E(c,c)."),
         "closure": write("closure.deps", "E(x,y), E(y,z) -> E(z,x)."),
         "growth": write("growth.deps", "R(x,y) -> R(y,z)."),
+        "fd": write("fd.deps", "E(x,y), E(x,z) -> y = z."),
         "r1": write("r1.cq", "q() :- R(x,y)."),
         "r5": write(
             "r5.cq", "q() :- R(a,b), R(b,c), R(c,d), R(d,e), R(e,f)."
@@ -303,6 +304,18 @@ def test_chase_complete_and_capped(capsys, files):
     assert code == 2 and report["witness"]["complete"] is False
 
 
+def test_chase_picks_the_egd_chase_and_rejects_a_mixed_set(capsys, files):
+    mixed = Path(files["tmp"]) / "mixed.deps"
+    mixed.write_text("E(x,y), E(x,z) -> y = z.\nE(x,y), E(y,z) -> E(z,x).")
+    q = Path(files["tmp"]) / "fork.cq"
+    q.write_text("q(x) :- E(x,y), E(x,z).")
+    code, report, _ = run_json(capsys, "chase", "--query", str(q), "--deps", files["fd"])
+    assert code == 0 and report["witness"]["complete"] is True
+    assert report["witness"]["query"] == "q(x) :- E(x, y)."
+    code, report, _ = run_json(capsys, "chase", "--query", str(q), "--deps", str(mixed))
+    assert code == 3 and report["verdict"] == "error"
+
+
 def test_satisfies_command(capsys, files):
     code, _, _ = run(
         capsys, "satisfies", "--db", files["loop_db"], "--deps", files["closure"]
@@ -336,6 +349,22 @@ def test_contains_commands(capsys, files):
         "--max-depth", "2",
     )
     assert code == 2
+
+
+def test_negative_max_depth_is_exit_3(capsys, files):
+    # an egd chase and the guarded shortcut read no depth, yet reject it
+    out_edge = Path(files["tmp"]) / "out.deps"
+    out_edge.write_text("E(x,y) -> E(y,z).")
+    code, _, err = run(
+        capsys, "contains-under", "--query", files["path2"],
+        "--candidate", files["triangle"], "--deps", files["fd"], "--max-depth", "-1",
+    )
+    assert code == 3 and "max_depth must be nonnegative" in err
+    code, _, err = run(
+        capsys, "eval-over", "--query", files["qx"], "--db", files["loop_db"],
+        "--tuple", "c", "--deps", str(out_edge), "--max-depth", "-1",
+    )
+    assert code == 3 and "max_depth must be nonnegative" in err
 
 
 def test_identify_delta_codes(capsys, files):

@@ -313,6 +313,15 @@ def test_containment_capped_chase_unknown_vs_true():
     assert cn.contains_under(q, five, [growth], max_depth=10) is True
 
 
+@pytest.mark.parametrize("deps", [[], [fd_egd], [growth]], ids=["none", "egds", "tgds"])
+def test_negative_depth_rejected_for_every_dependency_set(deps):
+    q = parse_query("q() :- R(x,y,z).") if deps == [fd_egd] else parse_query("q() :- R(x,y).")
+    with pytest.raises(CqError, match="max_depth must be nonnegative"):
+        cn.contains_under(q, q, deps, max_depth=-1)
+    with pytest.raises(CqError, match="max_depth must be nonnegative"):
+        cn.eval_overapprox_under(q, deps, Database(()), (), 1, max_depth=-1)
+
+
 def test_containment_mixed_dependencies_rejected():
     with pytest.raises(CqError):
         cn.contains_under(path2, triangle, [closure, fd_egd])

@@ -32,13 +32,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cqapprox.constraints import Egd, Tgd, chase_tgds, satisfies  # noqa: E402
-from cqapprox.hom import _components, _Search, _Target, core, equivalent, evaluate  # noqa: E402
+from cqapprox.hom import _Search, _Target, core, equivalent, evaluate  # noqa: E402
 from cqapprox.model import (  # noqa: E402
     Atom,
     ConjunctiveQuery,
     Const,
     Database,
     Var,
+    _components,
     canonical_database,
 )
 

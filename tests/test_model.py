@@ -22,6 +22,7 @@ from cqapprox.model import (
     ParseError,
     Term,
     Var,
+    _components,
     _read_database,
     canonical_database,
     connected_components,
@@ -451,6 +452,23 @@ def test_connected_components():
     assert sorted(len(c.atoms) for c in comps) == [1, 3]
     iso = parse_query("q() :- R(x,y), S(u,v).")
     assert len(connected_components(iso)) == 2
+
+
+def test_connected_components_come_by_least_variable():
+    # the {z, a} component holds the least variable, though E(b,b) is the
+    # least atom; the greedy construction reads this order
+    comps = connected_components(parse_query("q() :- E(z,z), E(z,a), E(b,b)."))
+    assert [serialize_query(c) for c in comps] == [
+        "q() :- E(z, a), E(z, z).", "q() :- E(b, b)."
+    ]
+
+
+def test_components_set_fully_anchored_atoms_apart():
+    q = parse_query("q(x,y) :- E(x,y), E(x,u), E(u,w), E(y,v), F(x).")
+    x, y, u, v, w = (Var(n) for n in "xyuvw")
+    anchored, groups = _components(q.atoms, {x, y})
+    assert anchored == [Atom("E", (x, y)), Atom("F", (x,))]
+    assert groups == [[Atom("E", (u, w)), Atom("E", (x, u))], [Atom("E", (y, v))]]
 
 
 def test_connected_components_requires_boolean():

@@ -341,9 +341,7 @@ def test_doubling_pairs_match_all_pairs_sweep(configs_once):
     cases = []
     for n in range(1, 6):
         qn, qp = _renamed(gen_qn(n), rng), _renamed(gen_qn_prime(n), rng)
-        cases.append((qp, qn))
-        if n < 5:  # at n = 5 the reference tries 63^3 maps per union
-            cases.append((qn, qp))
+        cases += [(qp, qn), (qn, qp)]
         if n > 1:
             cases.append((qn, _renamed(gen_qn_prime(n - 1), rng)))
     for src, tgt in cases:

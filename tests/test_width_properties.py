@@ -69,11 +69,13 @@ def decompositions(draw):
     existential arguments go into one or two drawn nodes, so every atom
     is covered and a variable often spans nodes that may not be
     connected; a few more variables, free ones included, land in drawn
-    nodes, and a few parent maps are not trees."""
+    nodes. A third of the parent maps are drawn freely, with parents
+    outside the nodes too: no root, two roots, a node its own parent, a
+    cycle or a missing parent."""
     q = draw(queries(max_extra=2))
     n = draw(st.integers(1, 6))
-    if draw(st.integers(0, 9)) == 0:
-        parent = {i: draw(st.sampled_from([None, *range(n)])) for i in range(n)}
+    if draw(st.integers(0, 2)) == 0:
+        parent = {i: draw(st.sampled_from([None, *range(n + 1)])) for i in range(n)}
     else:
         parent = {0: None, **{i: draw(st.integers(0, i - 1)) for i in range(1, n)}}
     bags = {i: set() for i in range(n)}
