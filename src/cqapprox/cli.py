@@ -243,15 +243,16 @@ def _build_parser() -> _Parser:
     return top
 
 
+_FAMILIES = {"qn": (gen_qn, "N"), "qprime": (gen_qn_prime, "N"), "dagger": (gen_dagger, "K")}
+
+
 def _gen_instance(name: str):
-    if name.startswith("qn:"):
-        return gen_qn(int(name.split(":", 1)[1]))
-    if name.startswith("qprime:"):
-        return gen_qn_prime(int(name.split(":", 1)[1]))
-    if name.startswith("dagger:"):
-        return gen_dagger(int(name.split(":", 1)[1]))
-    named = corpus()
-    if name not in named:
+    family, colon, size = name.partition(":")
+    if colon and family in _FAMILIES:
+        if not size.removeprefix("-").isdecimal():
+            raise CqError(f"instance {name!r}: the size {size!r} is not an integer")
+        return _FAMILIES[family][0](int(size))
+    if name not in (named := corpus()):
         raise CqError(f"unknown instance {name!r}; try `cqapprox gen` for a list")
     return named[name]
 
@@ -389,7 +390,7 @@ def _run(args) -> tuple[str, dict | None, str | None]:
 
     if cmd == "gen":
         if args.name is None:
-            names = sorted(corpus()) + ["qn:N", "qprime:N", "dagger:K"]
+            names = sorted(corpus()) + [f"{f}:{n}" for f, (_, n) in _FAMILIES.items()]
             return "true", {"available": names}, "\n".join(names)
         thing = _gen_instance(args.name)
         if args.dot:

@@ -172,8 +172,9 @@ def _triggers(facts, deps):
     where body matches, in lexicographic order of the facts matched,
     first reach them.
     """
+    if not deps:
+        return
     target = _Target(facts)
-    values = target.values
     for dep in deps:
         slot = _numbered(dep.body, ())
         egd = isinstance(dep, Egd)
@@ -183,7 +184,7 @@ def _triggers(facts, deps):
             kept = set(target.join(dep.head, head_slot, [None] * len(head_slot), range(len(names))))
         for key in target.join(dep.body, slot, [None] * len(slot), [slot[x] for x in names]):
             if key[0] != key[1] if egd else key not in kept:
-                yield dep, dict(zip(names, map(values.__getitem__, key)))
+                yield dep, dict(zip(names, map(target.values.__getitem__, key)))
 
 
 def satisfies(inst, deps) -> bool:

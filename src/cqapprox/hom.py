@@ -36,14 +36,14 @@ The next variable is always a most-constrained one (fewest values, then
 canonical order) and values are tried in canonical order. The greatest
 arc-consistent state is unique, so witnesses do not depend on the order
 in which propagation reaches it: they are deterministic. find_hom and
-core share one solver, `_solve`, which solves each connected component
-of the source once per key (up to renaming), building its `_Search` on
-first use.
+core share one solver, `_solve`, which merges the first solution of one
+`_Search` per group of the source (`_groups`): its fully anchored atoms,
+then each connected component of the rest.
 
 core() computes a minimal retract (Hell & Nešetřil 1992). For the
-current query it keeps one propagated state per component key, with the
-query itself as target, and tests an atom by dropping that fact from
-the states, propagating, searching, and undoing back to the mark. On
+current query it keeps one propagated state per group, with the query
+itself as target, and tests an atom by dropping that fact from the
+states, propagating, searching, and undoing back to the mark. On
 success it jumps to the image of the homomorphism found and repeats. An
 atom once shown non-removable is never tested again: if q ↛ q − b, no
 image I ⊆ q of q that contains b maps into I − b, since q → I → I − b
@@ -613,14 +613,15 @@ class _Search:
 def find_hom(source, src_tuple, target, tgt_tuple) -> Hom | None:
     """A homomorphism source→target with h(src_tuple) = tgt_tuple, or None.
 
-    Disconnected parts of the source are solved independently, and parts
-    that are renamings of one another are solved once.
+    Each group of the source (`_groups`) is searched on its own, and no
+    group's search is built once an earlier group has no solution.
     """
     check_schemas_agree(source, target)
     base = _anchor_map(src_tuple, tgt_tuple)
     if base is None:
         return None
-    mapping = _solve(_split_components(_atoms_of(source), base), {}, base, _Target(target))
+    tgt = _Target(target)
+    mapping = _solve((_Search(g, base, tgt) for g in _groups(_atoms_of(source), base)), base)
     if mapping is None:
         return None
     rest = _elements_of(source) - set(mapping)
@@ -632,50 +633,27 @@ def find_hom(source, src_tuple, target, tgt_tuple) -> Hom | None:
     return Hom(mapping, source, target)
 
 
-def _split_components(atoms, base):
-    """Yield (atoms, var order, key) per group of `_components`, each fully
-    anchored atom a group of its own. The var order is first occurrence in
-    the group, and the key is the group with each unanchored var replaced
-    by its number in that order and each anchored one by its target value,
-    so groups with equal keys have the same homomorphisms up to renaming.
-    """
+def _groups(atoms, base) -> list[list[Atom]]:
+    """The fully anchored atoms as one group, then `_components`'s groups."""
     anchored, groups = _components(atoms, base)
-    for comp in [[a] for a in anchored] + groups:
-        index: dict[Term, int] = {}
-        key = tuple(
-            (a.relation, tuple(
-                base[t] if t in base else index.setdefault(t, len(index)) for t in a.args
-            ))
-            for a in comp
-        )
-        yield comp, list(index), key
+    return [anchored, *groups] if anchored else groups
 
 
-def _solve(comps, states, base, tgt: _Target, drop=None) -> dict | None:
-    """The first homomorphism of each component into tgt, merged into one
-    mapping extending base, or None if some component has none.
-
-    Components sharing a key are solved once. A key's `_Search` is built
-    on its first use and kept in `states`; with `drop`, that target fact
-    is dropped from each search for the solve and restored after.
-    """
+def _solve(searches, base, drop=None) -> dict | None:
+    """The first solution of each search, merged into one mapping
+    extending base, or None as soon as one has none. With `drop`, that
+    target fact is dropped from each search for its solve, then restored."""
     mapping = dict(base)
-    solved: dict[tuple, list] = {}
-    for atoms, order, key in comps:
-        if key not in solved:
-            if key not in states:
-                states[key] = _Search(atoms, base, tgt)
-            search = states[key]
-            if drop is None:
-                sol = next(search.solutions(), None)
-            else:
-                mark = len(search.trail)
-                sol = next(search.solutions(), None) if search.drop(drop) else None
-                search.undo(mark)
-            if sol is None:
-                return None
-            solved[key] = [sol[v] for v in order]
-        mapping.update(zip(order, solved[key]))
+    for search in searches:
+        if drop is None:
+            sol = next(search.solutions(), None)
+        else:
+            mark = len(search.trail)
+            sol = next(search.solutions(), None) if search.drop(drop) else None
+            search.undo(mark)
+        if sol is None:
+            return None
+        mapping.update(sol)
     return mapping
 
 
@@ -748,30 +726,23 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     base = {v: v for v in q.free_vars}
     current = q
     fixed: set[Atom] = set()
-    while True:
-        comps = list(_split_components(current.atoms, base))
+    while not fixed.issuperset(current.atoms):
         tgt = _Target(current)
-        states: dict[tuple, _Search] = {}
-        loose = [(atoms, key) for atoms, order, key in comps if order]
-        pinned = None
-        for a in current.atoms:
-            if a in fixed:
-                continue
-            if len(loose) == 1 and pinned is None:
-                atoms, key = loose[0]
-                states[key] = pinned = _Search(atoms, base, tgt)
-                pinned.pin(t for b in fixed for t in b.args if t not in base)
-            h = _solve(comps, states, base, tgt, a)
-            if h is None:
-                fixed.add(a)
-                if pinned is not None:
-                    pinned.pin(t for t in a.args if t not in base)
-                continue
-            image = [Atom(b.relation, tuple(map(h.get, b.args))) for b in current.atoms]
-            current = ConjunctiveQuery(current.free_vars, tuple(image), q.name)
-            break
-        else:
-            return current
+        searches = [_Search(g, base, tgt) for g in _groups(current.atoms, base)]
+        loose = [s for s in searches if s.vars]
+        pinned = loose[0] if len(loose) == 1 else None
+        if pinned is not None:
+            pinned.pin(t for b in fixed for t in b.args if t not in base)
+        for a in [b for b in current.atoms if b not in fixed]:
+            h = _solve(searches, base, a)
+            if h is not None:
+                image = [Atom(b.relation, tuple(map(h.get, b.args))) for b in current.atoms]
+                current = ConjunctiveQuery(current.free_vars, tuple(image), q.name)
+                break
+            fixed.add(a)
+            if pinned is not None:
+                pinned.pin(t for t in a.args if t not in base)
+    return current
 
 
 def endomorphisms(q: ConjunctiveQuery) -> list[Hom]:

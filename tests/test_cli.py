@@ -507,6 +507,16 @@ def test_gen_lists_and_emits(capsys, files):
     assert code == 3 and "unknown instance" in err
 
 
+def test_gen_rejects_a_size_that_is_no_integer(capsys):
+    for name in ("qn:x", "qprime:", "dagger:2.5"):
+        code, _, err = run(capsys, "gen", name)
+        assert code == 3
+        assert repr(name) in err and "not an integer" in err
+        assert "ValueError" not in err
+    code, _, err = run(capsys, "gen", "qn:0")
+    assert code == 3 and "n >= 1" in err
+
+
 def test_json_report_schema(capsys, files):
     code, report, _ = run_json(
         capsys, "contains", "--query", files["triangle"],

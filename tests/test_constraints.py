@@ -17,7 +17,8 @@ from cqapprox.model import (
     parse_database,
     parse_query,
 )
-from cqapprox.hom import find_hom
+from cqapprox.gen import gen_qn
+from cqapprox.hom import contains, find_hom
 from cqapprox.pebble import wins_cover_game
 
 from _oracles import brute_satisfies
@@ -106,6 +107,25 @@ def test_satisfies_six_cycle_fails_closure():
 def test_satisfies_empty_set():
     assert cn.satisfies(six_cycle, [])
     assert cn.satisfies(triangle_db, ())
+
+
+def test_no_dependencies_build_no_target(monkeypatch):
+    # no dependency has a trigger, so no instance is indexed to look for one
+    built = []
+    real_target = cn._Target
+
+    def counting_target(facts):
+        built.append(facts)
+        return real_target(facts)
+
+    monkeypatch.setattr(cn, "_Target", counting_target)
+    assert cn.satisfies(six_cycle, []) and cn.satisfies(path2, ())
+    assert cn.contains_under(gen_qn(3), gen_qn(2), []) is contains(gen_qn(3), gen_qn(2))
+    assert cn.contains_under(path2, triangle, []) is False
+    assert cn.chase_tgds(path2, []).query == path2
+    assert built == []
+    assert not cn.satisfies(six_cycle, [closure])
+    assert len(built) == 1
 
 
 def test_satisfies_accepts_query_as_instance():
@@ -279,8 +299,6 @@ def test_containment_under_closure_makes_path_and_triangle_equivalent():
 
 
 def test_containment_under_empty_set_is_plain_containment():
-    from cqapprox.hom import contains
-
     rng = random.Random(53)
     from _support import rand_cq
 

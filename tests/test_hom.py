@@ -214,6 +214,8 @@ def test_contains_reflexive_transitive():
 def test_core_drops_disjoint_edge():
     q = parse_query("q() :- E(x,y), E(y,z), E(u,v).")
     assert isomorphic(core(q), path2)
+    two_triangles = parse_query("q() :- E(a,b), E(b,c), E(c,a), E(x,y), E(y,z), E(z,x).")
+    assert core(two_triangles) == parse_query("q() :- E(x,y), E(y,z), E(z,x).")
 
 
 def test_core_triangle_fixed():
@@ -290,18 +292,24 @@ def _count_searches(monkeypatch):
     return built
 
 
-def test_identical_components_share_one_search(monkeypatch):
+def test_find_hom_builds_one_search_per_group(monkeypatch):
     built = _count_searches(monkeypatch)
     two_paths = parse_query("q() :- E(x,y), E(y,z), E(u,v), E(v,w).")
     assert find_hom(two_paths, (), triangle, ()) is not None
-    assert len(built) == 1
+    assert built == [two_paths.atoms[:2], two_paths.atoms[2:]]
 
-    # the first pass solves both triangles with one search and folds one
-    # onto the other; the second pass searches the one triangle left
+    # the fully anchored atoms share one search, ahead of the components
     built.clear()
-    two_triangles = parse_query("q() :- E(a,b), E(b,c), E(c,a), E(x,y), E(y,z), E(z,x).")
-    assert core(two_triangles) == parse_query("q() :- E(x,y), E(y,z), E(z,x).")
-    assert len(built) == 2
+    x, y, z = map(Var, "xyz")
+    q = parse_query("q(x,y) :- E(x,y), E(y,x), E(x,z).")
+    assert find_hom(q, (x, y), c2_db, (Const("a"), Const("b"))) is not None
+    assert built == [(Atom("E", (x, y)), Atom("E", (y, x))), (Atom("E", (x, z)),)]
+
+    # no search is built after the first group with no solution
+    built.clear()
+    q = parse_query("q() :- E(a,a), E(b,c), E(d,e).")
+    assert find_hom(q, (), triangle_db, ()) is None
+    assert built == [(Atom("E", (Var("a"), Var("a"))),)]
 
 
 def test_core_kills_few_rows_once_it_pins_the_atoms_it_fixed(monkeypatch):
@@ -425,27 +433,64 @@ def test_pins_change_no_drop_test():
     shapes = set()
     for q in _pin_cases():
         base = {v: v for v in q.free_vars}
-        comps = list(hom._split_components(q.atoms, base))
+        groups = hom._groups(q.atoms, base)
         tgt = hom._Target(q)
-        plain, pinned = {}, {}
-        loose = [(atoms, key) for atoms, order, key in comps if order]
+        plain, pinned = ([hom._Search(g, base, tgt) for g in groups] for _ in range(2))
+        loose = [s for s in pinned if s.vars]
         if len(loose) == 1:
-            atoms, key = loose[0]
+            (search,) = loose
             free = q.free_vars
             kept = [b for b in q.atoms if find_hom(q, free, q.without_atom(b), free) is None]
-            search = pinned[key] = hom._Search(atoms, base, tgt)
             search.pin(t for b in kept for t in b.args if t not in base)
             before = _search_state(search)
             shapes.add(("free", bool(base)))
-            shapes.add(("anchored", len(comps) > 1))
+            shapes.add(("anchored", len(groups) > 1))
         else:
             shapes.add(("components", len(loose)))
         for a in q.atoms:
-            want = hom._solve(comps, plain, base, tgt, a)
-            assert hom._solve(comps, pinned, base, tgt, a) == want, (q, a)
+            want = hom._solve(plain, base, a)
+            assert hom._solve(pinned, base, a) == want, (q, a)
             if len(loose) == 1:
                 assert _search_state(search) == before, (q, a)
     assert {("free", True), ("anchored", True), ("components", 2)} <= shapes
+
+
+def _renamed_copies(rng):
+    """2-3 disjoint copies of one random body, copy i with variables
+    c<i>v<j> numbered in a random order, so the copies' canonical
+    variable orders differ."""
+    body = rand_cq(rng, max_atoms=3, max_vars=4).atoms
+    names = sorted({t for a in body for t in a.args})
+    atoms = []
+    for i in range(rng.randint(2, 3)):
+        order = rng.sample(range(len(names)), len(names))
+        new = {v: Var(f"c{i}v{j}") for v, j in zip(names, order)}
+        atoms += [Atom(a.relation, tuple(map(new.get, a.args))) for a in body]
+    return ConjunctiveQuery((), tuple(atoms))
+
+
+def test_each_group_gets_the_first_solution_of_its_own_search():
+    # a witness restricted to a group is the group's own witness, also
+    # where the group is a renamed copy of an earlier one. Among equal
+    # domains a search assigns the least variable first: E(c0v2,c0v0)
+    # takes c0v0 -> 0, so c0v2 -> 1, while E(c0v1,c0v3) takes c0v1 -> 0
+    zero, one = Const("0"), Const("1")
+    q = parse_query("q() :- E(c0v1,c0v3), E(c0v2,c0v0).")
+    db = Database((Atom("E", (zero, Const("2"))), Atom("E", (one, zero))))
+    assert find_hom(q, (), db, ())(Var("c0v1")) == zero
+    cases = [(q, db)]
+    rng = random.Random(29)
+    cases += [(_renamed_copies(rng), rand_db(rng, max_consts=4, max_facts=12)) for _ in range(300)]
+    solved = 0
+    for q, db in cases:
+        h = find_hom(q, (), db, ())
+        if h is None:
+            continue
+        solved += 1
+        for g in hom._groups(q.atoms, {}):
+            alone = find_hom(ConjunctiveQuery((), tuple(g)), (), db, ())
+            assert {v: h(v) for v in alone.mapping} == alone.mapping, (q, db, g)
+    assert solved >= 100
 
 
 def test_a_pin_cuts_solutions_of_a_search_beside_another_component():
