@@ -24,6 +24,7 @@ from cqapprox.model import (
     Term,
     Var,
     _components,
+    _fresh,
     connected_components,
     disjoint_conjunction,
     gaifman,
@@ -266,21 +267,16 @@ def _named_after(
     a witness equal to q is q itself."""
     used = {v.name for v in q.variables}
     present = witness.variables
-    count: dict[Term, int] = {}
     rename: dict[Term, Term] = {}
+    kept: set[Term] = set()  # the variables whose first copy is renamed back
     for copy, d in origin.items():
         if copy not in present:
             continue
-        if d not in count:
-            count[d] = 0
+        if d not in kept:
+            kept.add(d)
             rename[copy] = d
-            continue
-        name = d.name
-        while name in used:
-            count[d] += 1
-            name = f"{d.name}_{count[d]}"
-        used.add(name)
-        rename[copy] = Var(name)
+        else:  # of len(used) + 1 names, one is free
+            rename[copy] = Var(_fresh((f"{d.name}_{i}" for i in range(1, len(used) + 2)), used))
     own = dict(zip(q.atoms, q.atoms))
     atoms = [Atom(a.relation, tuple(rename.get(t, t) for t in a.args)) for a in witness.atoms]
     named = ConjunctiveQuery(witness.free_vars, tuple(own.get(a, a) for a in atoms), witness.name)

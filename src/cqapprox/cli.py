@@ -167,11 +167,11 @@ def _render_human(report: dict) -> str:
 
 def _emit(report: dict, as_json: bool, raw: str | None = None) -> int:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
     elif raw is not None:
-        print(raw)
+        print(raw, flush=True)
     else:
-        print(_render_human(report))
+        print(_render_human(report), flush=True)
     return _VERDICT_EXIT[report["verdict"]]
 
 
@@ -446,7 +446,15 @@ def main(argv=None) -> int:
         "flags": sorted(set(flags)),
         "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
     }
-    return _emit(report, args.json, raw)
+    try:
+        return _emit(report, args.json, raw)
+    except OSError as exc:  # a full disk or a closed pipe is no verdict either
+        import os
+
+        print(f"cqapprox: error: cannot write the report: {exc}", file=sys.stderr)
+        # the interpreter flushes stdout again on exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import itertools
 import warnings
 from dataclasses import dataclass
 
-from cqapprox.hom import Hom, _numbered, _Target, find_hom
+from cqapprox.hom import Hom, _Target, find_hom
 from cqapprox.model import (
     ArityError,
     Atom,
@@ -30,6 +30,7 @@ from cqapprox.model import (
     Term,
     Var,
     _check_arities,
+    _fresh,
     _parse_atom,
     _Tokens,
     _UnionFind,
@@ -176,13 +177,11 @@ def _triggers(facts, deps):
         return
     target = _Target(facts)
     for dep in deps:
-        slot = _numbered(dep.body, ())
         egd = isinstance(dep, Egd)
         names = dep.eq if egd else tuple(sorted(dep.frontier))
         if not egd:
-            head_slot = _numbered(dep.head, names)
-            kept = set(target.join(dep.head, head_slot, [None] * len(head_slot), range(len(names))))
-        for key in target.join(dep.body, slot, [None] * len(slot), [slot[x] for x in names]):
+            kept = set(target.join(dep.head, {}, names))
+        for key in target.join(dep.body, {}, names):
             if key[0] != key[1] if egd else key not in kept:
                 yield dep, dict(zip(names, map(target.values.__getitem__, key)))
 
@@ -245,21 +244,13 @@ def chase_tgds(q: ConjunctiveQuery, deps, max_depth: int = 16) -> ChaseResult:
     atoms = list(q.atoms)
     atom_set = set(atoms)
     used_names = {v.name for v in q.variables}
-    counter = itertools.count()
-
-    def fresh() -> Var:
-        while True:
-            name = f"_n{next(counter)}"
-            if name not in used_names:
-                used_names.add(name)
-                return Var(name)
-
+    nulls = (f"_n{n}" for n in itertools.count())
     rounds = 0
     while (pending := list(_triggers(atoms, tgds))) and rounds < max_depth:
         for dep, fmap in pending:
             ext = dict(fmap)
             for zvar in sorted(dep.head_vars - dep.frontier):
-                ext[zvar] = fresh()
+                ext[zvar] = Var(_fresh(nulls, used_names))
             for a in dep.head:
                 na = Atom(a.relation, tuple(ext[t] for t in a.args))
                 if na not in atom_set:

@@ -8,11 +8,13 @@ hash indexes, keyed by (relation, bound positions, repeated positions),
 are built once per form and read by two algorithms, each for its job:
 
 - `_Target.join` lists answer sets: evaluate's answers, the cover game's
-  members, the chase's triggers and tgd head checks. Set at a time, each
-  step extends every partial solution by one atom through one index
-  lookup, and a variable is dropped once no later atom and no answer
-  reads it (Yannakakis 1981). Listing them with `_Search` would pay an
-  O(|domain|) assign, propagate and undo at every node.
+  members, the chase's triggers and tgd head checks. It takes the
+  anchors as `_Search` does, a map from source terms to target terms,
+  and numbers the terms itself. Set at a time, each step extends every
+  partial solution by one atom through one index lookup, and a variable
+  is dropped once no later atom and no answer reads it (Yannakakis
+  1981). Listing them with `_Search` would pay an O(|domain|) assign,
+  propagate and undo at every node.
 - `_Search` finds a first homomorphism, for find_hom and core, and lists
   endomorphisms. It is exact backtracking that keeps generalized arc
   consistency by support counting (AC-4, Mohr & Henderson 1986):
@@ -175,40 +177,42 @@ class _Target:
         self.indexes[key] = found
         return found
 
-    def join(self, atoms, slot, m, keep):
-        """Yield the image of the `keep` slots, a tuple of ids, under each
-        homomorphism from `atoms` into the facts that extends m: each
-        image once, where the homomorphisms first reach it.
+    def join(self, atoms, base, keep):
+        """Yield the image of the `keep` terms, a tuple of ids, under each
+        homomorphism from `atoms` into the facts that extends `base`:
+        each image once, where the homomorphisms first reach it.
 
-        `slot` numbers the atoms' terms, and m holds an id per slot, None
-        where unbound; every slot must be bound by m or by some atom. Set
-        at a time, each step extends every partial solution (the ids
-        bound so far) by one atom, through one lookup of its bound values
-        in `index`. Extensions come in fact order, so homomorphisms come
-        in lexicographic order of the facts matched. A slot that neither
+        `base` maps source terms to target terms, as `_Search` takes it;
+        a base term that no atom holds is ignored, and a value outside
+        the target gets id -1, which no fact holds, so it matches nothing.
+        Every kept term must occur in some atom. Set at a time, each step
+        extends every partial solution (the ids bound so far) by one
+        atom, through one lookup of its bound values in `index`.
+        Extensions come in fact order, so homomorphisms come in
+        lexicographic order of the facts matched. A term that neither
         `keep` nor a later atom reads is then cut, keeping the first of
         any partials it alone told apart: the join stays polynomial in its
-        answers where listing homomorphisms is not. An id that no fact
-        holds, as for an anchor value outside the target, matches nothing.
+        answers where listing homomorphisms is not.
         """
-        start = [s for s, v in enumerate(m) if v is not None]
-        at = dict(zip(start, itertools.count()))  # slot -> position in a partial
-        partials = [tuple(map(m.__getitem__, start))]
-        cuts = []  # from the last atom but one back, the slots cut after each
-        if cutting := len(set(keep).union(start)) < len(m):  # an unbound slot is not kept
+        terms = {t for a in atoms for t in a.args}
+        start = [t for t in base if t in terms]
+        at = dict(zip(start, itertools.count()))  # term -> position in a partial
+        partials = [tuple([self.eid.get(base[t], -1) for t in start])]
+        cuts = []  # from the last atom but one back, the terms cut after each
+        if cutting := bool(terms.difference(keep, start)):  # a term neither bound nor kept
             later = set(keep)
             for a in reversed(atoms):
-                cuts.append(set(map(slot.__getitem__, a.args)) - later)
-                later.update(map(slot.__getitem__, a.args))
+                cuts.append(set(a.args) - later)
+                later.update(a.args)
             del cuts[0]  # the images' dedupe cuts after the last atom
         for a in atoms:
             pattern, key, fresh = [], [], {}
-            for s in map(slot.__getitem__, a.args):
-                if s in at:
+            for t in a.args:
+                if t in at:
                     pattern.append(None)
-                    key.append(at[s])
+                    key.append(at[t])
                 else:
-                    pattern.append(fresh.setdefault(s, len(fresh)))
+                    pattern.append(fresh.setdefault(t, len(fresh)))
             index = self.index(a.relation, tuple(pattern))
             if not key:
                 partials = [p + ext for p in partials for ext in index]
@@ -220,11 +224,11 @@ class _Target:
                 partials = [p + ext for p in partials for ext in index.get(get(p), ())]
             if not partials:
                 return iter(())
-            for s in fresh:
-                at[s] = len(at)
+            for t in fresh:
+                at[t] = len(at)
             if cuts and (cut := cuts.pop()):
-                live = [s for s in at if s not in cut]
-                partials = list(dict.fromkeys(_project(partials, [at[s] for s in live])))
+                live = [t for t in at if t not in cut]
+                partials = list(dict.fromkeys(_project(partials, [at[t] for t in live])))
                 at = dict(zip(live, itertools.count()))
         if list(at) == list(keep):
             return iter(partials)
@@ -663,26 +667,16 @@ def evaluate(q: ConjunctiveQuery, db: Database) -> set:
     outside the body ranges over the active domain."""
     check_schemas_agree(q, db)
     target = _Target(db)
-    atoms = _bound_first(q.atoms, ())
-    slot = _numbered(atoms, ())
-    inside = [v for v in dict.fromkeys(q.free_vars) if v in slot]
-    outside = list(set(q.free_vars).difference(slot))
+    body = {t for a in q.atoms for t in a.args}
+    inside = [v for v in dict.fromkeys(q.free_vars) if v in body]
+    outside = list(set(q.free_vars).difference(body))
     values, answers = target.values, set()
-    for image in target.join(atoms, slot, [None] * len(slot), [slot[v] for v in inside]):
+    for image in target.join(_bound_first(q.atoms, ()), {}, inside):
         h = dict(zip(inside, map(values.__getitem__, image)))
         for rest in itertools.product(values, repeat=len(outside)):
             h.update(zip(outside, rest))
             answers.add(tuple(map(h.__getitem__, q.free_vars)))
     return answers
-
-
-def _numbered(atoms, first) -> dict[Term, int]:
-    """A number per term: those of `first` in order, then the atoms' others."""
-    slot = dict(zip(first, itertools.count()))
-    for a in atoms:
-        for t in a.args:
-            slot.setdefault(t, len(slot))
-    return slot
 
 
 def _bound_first(atoms, bound) -> list[Atom]:

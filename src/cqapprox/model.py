@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from typing import NamedTuple
 
 
@@ -482,6 +482,13 @@ def instance_as_query(db: Database, anchors: tuple[Term, ...] = ()) -> Conjuncti
     return ConjunctiveQuery(tuple(ren[c] for c in anchors), atoms)
 
 
+def _fresh(names, used: set) -> str:
+    """The first of `names` that `used` lacks, now added to it."""
+    name = next(n for n in names if n not in used)
+    used.add(name)
+    return name
+
+
 def disjoint_conjunction(q: ConjunctiveQuery, q2: ConjunctiveQuery) -> ConjunctiveQuery:
     """The disjoint conjunction q ∧ q2: bodies renamed apart, atoms unioned,
     i-th head variables identified (least upper bound under ⊆)."""
@@ -508,16 +515,7 @@ def disjoint_conjunction(q: ConjunctiveQuery, q2: ConjunctiveQuery) -> Conjuncti
         for m in members:
             rep_for[m] = rep
 
-    counter = 0
-
-    def fresh(base: str) -> Term:
-        nonlocal counter
-        while True:
-            counter += 1
-            cand = f"{base}_d{counter}"
-            if cand not in used_names:
-                used_names.add(cand)
-                return Var(cand)
+    numbers = count(1)
 
     def rename_side(side: str, query: ConjunctiveQuery) -> dict[Term, Term]:
         ren = {}
@@ -525,7 +523,7 @@ def disjoint_conjunction(q: ConjunctiveQuery, q2: ConjunctiveQuery) -> Conjuncti
             if (side, v) in rep_for:
                 ren[v] = rep_for[(side, v)]
             else:
-                ren[v] = fresh(v.name)
+                ren[v] = Var(_fresh((f"{v.name}_d{n}" for n in numbers), used_names))
         return ren
 
     ren_a = rename_side("a", q)

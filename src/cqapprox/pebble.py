@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from cqapprox.model import Atom, ConjunctiveQuery, CqError, Term, Var
-from cqapprox.model import check_schemas_agree
+from cqapprox.model import _fresh, check_schemas_agree
 from cqapprox.hom import _anchor_map, _atoms_of, _bound_first, _project, _Target
 from cqapprox.width import TreeDecomposition
 
@@ -94,13 +94,15 @@ class _Game:
     """Shared state of the three game solvers, all driven by `run()`.
 
     `target` is the target's `hom._Target`, whose ids follow canonical
-    `Term` order; an anchor value outside it gets id -1, which no fact
-    holds. `members[i]` holds union i's surviving partial homs as sorted id
-    tuples aligned with its sorted variable list `vlists[i]` (anchors
-    included, the same in every member); since id order is `Term` order,
-    `family()` decodes them into exactly the dicts, in exactly the
-    order, that a solver over `Term` values would keep. Unions of one
-    join shape share one members list, so no list is changed in place.
+    `Term` order. The anchors are a binding, `base`, that every join
+    takes: the fully anchored atoms are joined once, for `anchors_ok`,
+    and each union's join binds the anchor values. `members[i]` holds
+    union i's surviving partial homs as sorted id tuples aligned with its
+    sorted unanchored variables `vlists[i]`; since id order is `Term`
+    order, `family()` adds the anchors and decodes them into exactly the
+    dicts, in exactly the order, that a solver over `Term` values would
+    keep. Unions of one join shape share one members list, so no list is
+    changed in place.
 
     `pairs[i]` is union i's row in the overlap graph: one `(j, pi, pj)`
     per union j sharing an unanchored variable with i, `pi` and `pj`
@@ -120,18 +122,15 @@ class _Game:
         if self.base is None:
             return
         self.target = target = _Target(tgt)
-        self.bid = {s: target.eid.get(t, -1) for s, t in self.base.items()}
-        src_atoms = _atoms_of(src)
-        slot = {t: s for s, t in enumerate(self.bid)}
-        held = [a for a in src_atoms if slot.keys() >= {*a.args}]
-        self.anchors_ok = not held or next(
-            target.join(held, slot, list(self.bid.values()), ()), None
-        ) is not None
+        held, loose = [], []  # the fully anchored atoms, the others
+        for a in _atoms_of(src):
+            (held if self.base.keys() >= {*a.args} else loose).append(a)
+        self.anchors_ok = not held or next(target.join(held, self.base, ()), None) is not None
         if not self.anchors_ok:
             return
         self.unions = k_unions(src, k)
-        self.vlists = [sorted(u.vars) for u in self.unions]
-        contained = _node_atoms(src_atoms, self.unions, self.bid)
+        self.vlists = [sorted(u.vars.difference(self.base)) for u in self.unions]
+        contained = _node_atoms(loose, self.unions, self.base)
         shapes: dict[tuple, tuple | list] = {}
         self.members = [
             self._enumerate(*union, shapes) for union in zip(self.unions, self.vlists, contained)
@@ -142,8 +141,7 @@ class _Game:
         at: dict[Term, list[tuple[int, int]]] = {}
         for i, vlist in enumerate(self.vlists if len(self.vlists) > 1 else ()):
             for p, v in enumerate(vlist):
-                if v not in self.bid:
-                    at.setdefault(v, []).append((i, p))
+                at.setdefault(v, []).append((i, p))
         shared: list[dict[int, list]] = [{} for _ in self.unions]
         for occ in at.values():
             for (i, p), (j, q) in itertools.permutations(occ, 2):
@@ -153,29 +151,31 @@ class _Game:
         self.rechecked: list[int] = []  # per pass, the unions it re-checked
 
     def _enumerate(self, u: KUnion, vlist, contained, shapes) -> list[tuple]:
-        """All valid partial homs on u.vars ∪ anchors, as sorted id tuples:
-        the join of the witness atoms (which cover every union variable)
-        and the other contained atoms. With anchors, atoms go bound-first
-        (most bound positions, anchors counted, ties in witness order);
-        without, reordering costs more than it saves on small games.
+        """All valid partial homs on u's unanchored variables, as sorted
+        id tuples: the join, under the anchors, of the witness atoms
+        (which cover every union variable) and the other contained atoms.
+        With anchors, atoms go bound-first (most bound positions, anchors
+        counted, ties in witness order); without, reordering costs more
+        than it saves on small games.
 
         The answers depend only on the union's join shape: its contained
-        atoms with terms numbered by first occurrence, the ids bound per
-        number and the numbers kept. A shape is joined once; unions of it
-        share the list, or a reordered copy made once per variable order."""
-        slot, shape = {}, []  # numbered by first occurrence, not by name
+        atoms with terms numbered by first occurrence, the anchor values
+        per number and the numbers kept. A shape is joined once; unions
+        of it share the list, or a reordered copy made once per variable
+        order."""
+        number, shape = {}, []  # the cache key names no term
         for a in contained:
             shape.append(a.relation)
             for t in a.args:
-                shape.append(slot.setdefault(t, len(slot)))
-        m = [self.bid.get(t) for t in slot]
-        keep = tuple(map(slot.__getitem__, vlist))
-        shape = (*shape, *m, *sorted(keep))
+                shape.append(number.setdefault(t, len(number)))
+        keep = tuple(map(number.__getitem__, vlist))
+        shape = (*shape, *map(self.base.get, number), *sorted(keep))
         if shape not in shapes:
-            atoms = list(u.witness) + [a for a in contained if a not in u.witness]
-            if self.bid and any(t in self.bid for a in atoms for t in a.args):
-                atoms = _bound_first(atoms, self.bid)
-            shapes[shape] = keep, sorted(self.target.join(atoms, slot, m, keep))
+            atoms = [a for a in contained if a in u.witness]
+            atoms += [a for a in contained if a not in u.witness]
+            if self.base and any(t in self.base for a in atoms for t in a.args):
+                atoms = _bound_first(atoms, self.base)
+            shapes[shape] = keep, sorted(self.target.join(atoms, self.base, vlist))
         first, answers = shapes[shape]
         if keep != first:  # the same answers, in another variable order
             if (shape, keep) not in shapes:
@@ -390,18 +390,8 @@ class _Tree:
         copy, in that order, to the variable of q it copies."""
         anchors = self.anchors
         used = {v.name for v in anchors}
-        counter = itertools.count(1)
+        numbers = itertools.count(1)
         self.origin = origin = {}
-
-        def fresh(d: Term) -> Term:
-            while True:
-                cand = f"{d.name}_u{next(counter)}"
-                if cand not in used:
-                    used.add(cand)
-                    copy = Var(cand)
-                    origin[copy] = d
-                    return copy
-
         parent: dict[int, int | None] = {0: None}
         label: dict[int, int | None] = {0: None}  # index into unions
         phi: dict[int, dict[Term, Term]] = {0: {}}
@@ -422,7 +412,9 @@ class _Tree:
                         elif d in up:
                             mapping[d] = up[d]  # same occurrence as the parent
                         else:
-                            mapping[d] = fresh(d)
+                            names = (f"{d.name}_u{n}" for n in numbers)
+                            mapping[d] = copy = Var(_fresh(names, used))
+                            origin[copy] = d
                     phi[node] = mapping
                     next_frontier.append(node)
             frontier = next_frontier

@@ -583,3 +583,36 @@ def test_usage_error_is_exit_3_on_every_call(capsys, files):
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     code, _, _ = run(capsys, "core", "--query", files["triangle"])
     assert code == 0
+
+
+def _write_fails(stdout):
+    """`cqapprox gen qn:3` run in a new interpreter with its stdout on
+    `stdout`: the return code and stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cqapprox.cli", "gen", "qn:3"],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, check=False,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_disk_is_exit_3_without_traceback():
+    with open("/dev/full", "w") as full:
+        code, err = _write_fails(full)
+    assert code == 3
+    assert err.startswith("cqapprox: error: cannot write the report")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_a_closed_pipe_is_exit_3_without_traceback():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the report is written
+    try:
+        code, err = _write_fails(write)
+    finally:
+        os.close(write)
+    assert code == 3
+    assert err.startswith("cqapprox: error: cannot write the report")
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -358,6 +358,32 @@ def test_unions_of_one_shape_apart_by_anchor_ids(configs_once):
     _check_against_reference(q, q.free_vars, db, tgt, 1)
 
 
+def test_members_hold_only_the_unanchored_variables(monkeypatch):
+    # P(x) is fully anchored: one join checks it, and the unions' joins
+    # bind x to a instead of carrying it as a column
+    joined = []
+    join = hom._Target.join
+    monkeypatch.setattr(
+        hom._Target, "join", lambda t, atoms, *rest: joined.append(atoms) or join(t, atoms, *rest)
+    )
+    q = parse_query("q(x) :- E(x,y), E(y,z), P(x).")
+    db = parse_database("E(a,b). E(b,c). E(b,d). P(a).")
+    x, y, z = Var("x"), Var("y"), Var("z")
+    a, b, c, d = (Const(n) for n in "abcd")
+    game = pebble._Game(q, (x,), db, (a,), 1)
+    assert game.vlists == [[], [y], [y, z]]
+    assert [[len(m) for m in ms] for ms in game.members] == [[0], [1], [2, 2]]
+    assert sum(Atom("P", (x,)) in atoms for atoms in joined) == 1
+    assert game.family().members == [
+        [{x: a}], [{x: a, y: b}], [{x: a, y: b, z: c}, {x: a, y: b, z: d}]
+    ]
+    # the anchors come first in every member, then the union's variables
+    assert game.run()
+    assert [[list(m) for m in ms] for ms in game.family().members] == [
+        [[x]], [[x, y]], [[x, y, z]] * 2
+    ]
+
+
 def test_variable_disjoint_union_left_when_partner_empties():
     # E(x,y) shares no variable with the F atoms, so it has no overlap
     # pairs; the F unions empty each other in round 1 and the E union
