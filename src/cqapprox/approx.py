@@ -88,8 +88,11 @@ def _established_in_class(cand: ConjunctiveQuery, k: int, cert) -> bool:
 
     A supplied decomposition settles it positively when it validates; a
     non-validating one proves nothing, which is reported as the
-    precondition being unknown rather than false.
+    precondition being unknown rather than false. k < 1 is an input
+    error, raised before any membership test, as `k_unions` raises it.
     """
+    if k < 1:
+        raise CqError(f"k must be at least 1, got {k}")
     if cert is not None:
         if validate_decomposition(cand, cert, k):
             return True
@@ -97,8 +100,6 @@ def _established_in_class(cand: ConjunctiveQuery, k: int, cert) -> bool:
             "the supplied decomposition does not validate at width "
             f"{k}; candidate membership is unverified"
         )
-    if k == 1:
-        return ghw1_membership(cand) is not None
     try:
         return compute_ghw(cand, k) is not None
     except BudgetError as err:
@@ -140,14 +141,14 @@ def certify_overapprox(
     must be supplied; width-1 decompositions are reconstructed here.
     """
     decomposition = cert
-    if decomposition is None:
-        if k != 1:
-            raise PreconditionUnknownError(
-                "certificates at width > 1 need a supplied decomposition"
-            )
+    if cert is None and k == 1:
         decomposition = ghw1_membership(cand)
         if decomposition is None:
             return None
+    elif cert is None and k > 1:
+        raise PreconditionUnknownError(
+            "certificates at width > 1 need a supplied decomposition"
+        )
     elif not _established_in_class(cand, k, cert):
         return None
     forward_ok, forward = wins_cover_game(cand, cand.free_vars, q, q.free_vars, k)
@@ -176,7 +177,8 @@ def exists_overapprox(
     Tries depths c = 1..cmax: the overapproximation O exists iff the
     cover game from q into some unrolling q_c succeeds, and then O is
     core(q_c). Returns None when the budget or cmax runs out; None never
-    asserts non-existence.
+    asserts non-existence. q_c is q_{c-1} plus a level, so one tree
+    grows a level per depth.
 
     The q_c tried here is the overlap-pruned unrolling: a node's child
     for a union is built only when the union's unanchored part meets the
@@ -211,11 +213,13 @@ def exists_overapprox(
                 stacklevel=2,
             )
             return None
-        qc, _ = tree.build(c)
+        tree.grow()
+        qc = tree.query()
         won, family = wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)
         if won:
+            origin, tree = tree.origin, None  # retracting needs no other growth state
             part = _equivalent_part(q, qc, family, k)
-            return _named_after(q, core(part), tree.origin)
+            return _named_after(q, core(part), origin)
     return None
 
 
@@ -302,12 +306,9 @@ def hash_query(q: ConjunctiveQuery, u: Term, v: Term) -> HashQuery:
 
     def rename(side: Term) -> dict[Term, Term]:
         out = {}
-        for z in sorted(q.variables):
-            name = f"{z.name}_{side.name}"
-            while name in used:
-                name += "_"
-            used.add(name)
-            out[z] = Var(name)
+        for z in sorted(q.variables):  # of len(used) + 1 names, one is free
+            names = (f"{z.name}_{side.name}" + "_" * i for i in range(len(used) + 1))
+            out[z] = Var(_fresh(names, used))
         return out
 
     to_u, to_v = rename(u), rename(v)
@@ -367,17 +368,16 @@ def swapping_endomorphism(q: ConjunctiveQuery):
 def _minimal_cover_family(comps: list[ConjunctiveQuery]) -> list[ConjunctiveQuery]:
     """An inclusion-minimal subfamily s.t. every component plays into one
     of its members in the 1-cover game. Removal is sound because the
-    game relation composes."""
+    game relation composes. One pass suffices: dropping a component only
+    shrinks the others' targets, so a component that stayed stays."""
     reps = list(comps)
-    changed = True
-    while changed:
-        changed = False
-        for i, p in enumerate(reps):
-            rest = reps[:i] + reps[i + 1 :]
-            if any(wins_cover_game(p, (), other, (), 1)[0] for other in rest):
-                del reps[i]
-                changed = True
-                break
+    i = 0
+    while i < len(reps):
+        rest = reps[:i] + reps[i + 1 :]
+        if any(wins_cover_game(reps[i], (), other, (), 1)[0] for other in rest):
+            reps = rest
+        else:
+            i += 1
     return reps
 
 

@@ -166,6 +166,8 @@ def _render_human(report: dict) -> str:
 
 
 def _emit(report: dict, as_json: bool, raw: str | None = None) -> int:
+    if sys.stdout is None:  # started with fd 1 closed: print would drop the report
+        raise OSError("stdout is closed")
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True), flush=True)
     elif raw is not None:
@@ -453,7 +455,7 @@ def main(argv=None) -> int:
 
         print(f"cqapprox: error: cannot write the report: {exc}", file=sys.stderr)
         # the interpreter flushes stdout again on exit: let that write go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         return 3
 
 

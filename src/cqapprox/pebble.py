@@ -313,8 +313,7 @@ def unroll_size(q: ConjunctiveQuery, k: int, c: int) -> int:
 
 
 def unroll(q: ConjunctiveQuery, k: int, c: int, budget: int = 50_000) -> ConjunctiveQuery:
-    qc, _ = unroll_with_decomposition(q, k, c, budget)
-    return qc
+    return unroll_with_decomposition(q, k, c, budget)[0]
 
 
 def unroll_with_decomposition(
@@ -340,13 +339,16 @@ def unroll_with_decomposition(
             UnrollBudgetWarning,
             stacklevel=2,
         )
-    return tree.build(c)
+    for _ in range(c):
+        tree.grow()
+    return tree.query(), TreeDecomposition(tree.parent, tree.bags, k)
 
 
 class _Tree:
-    """The k-union tree that q_c cuts at depth c: its labels (the
-    k-unions), the atoms a node of each label emits, and per label the
-    labels of a node's children, computed once for every depth.
+    """The k-union tree that q_c cuts at depth c, grown a level at a
+    time: its labels (the k-unions), the atoms a node of each label
+    emits, and per label the labels of a node's children, computed once
+    for every depth.
 
     The root has a child per union. In the full tree every node does. In
     the pruned tree a node labelled u has a child for u' only when the
@@ -361,75 +363,60 @@ class _Tree:
     the variables it shares with its parent are kept. The two are
     therefore homomorphically equivalent: the same cover-game verdicts,
     the same homomorphisms into any database, isomorphic cores.
+
+    Nodes are numbered and variables copied in breadth-first order:
+    `parent` and `bags` hold the decomposition grown so far, `atoms` what
+    its nodes emit, `origin` each copy's variable of q. Only the deepest
+    level, `frontier`, keeps its copies: (node, child labels, copies).
     """
 
     def __init__(self, q: ConjunctiveQuery, k: int, pruned: bool):
-        self.q, self.k = q, k
+        self.q = q
         unions = k_unions(q, k)
-        self.anchors = anchors = set(q.free_vars)
+        anchors = set(q.free_vars)
         self.contained = _node_atoms(q.atoms, unions, anchors)
-        self.vlists = [sorted(u.vars) for u in unions]
+        own = [u.vars - anchors for u in unions]  # anchors are not copied
+        self.vlists = list(map(sorted, own))
         every = range(len(unions))
         if pruned:
-            own = [u.vars - anchors for u in unions]
             self.children = [
                 [j for j in every if not own[j].isdisjoint(mine) and not own[j] <= mine]
                 for mine in own
             ]
         else:
             self.children = [every] * len(unions)
+        self.parent, self.bags, self.atoms, self.origin = {0: None}, {0: frozenset()}, [], {}
+        self.frontier = [(0, every, {})]
+        self.used, self.numbers = {v.name for v in anchors}, itertools.count(1)
 
     def size(self, c: int) -> int:
         """Atoms the complete q_c emits, before deduplication."""
         n = len(self.vlists)  # a tree without unions emits nothing at any depth
         return sum(map(len, self.contained)) * (c if n < 2 else (n**c - 1) // (n - 1))
 
-    def build(self, c: int) -> tuple[ConjunctiveQuery, TreeDecomposition]:
-        """q_c and the decomposition it carries, nodes numbered and
-        variables renamed in breadth-first order. `origin` then maps each
-        copy, in that order, to the variable of q it copies."""
-        anchors = self.anchors
-        used = {v.name for v in anchors}
-        numbers = itertools.count(1)
-        self.origin = origin = {}
-        parent: dict[int, int | None] = {0: None}
-        label: dict[int, int | None] = {0: None}  # index into unions
-        phi: dict[int, dict[Term, Term]] = {0: {}}
-        frontier = [0]
-        for _depth in range(c):
-            next_frontier = []
-            for t in frontier:
-                up = phi[t]
-                kids = range(len(self.vlists)) if t == 0 else self.children[label[t]]
-                for ui in kids:
-                    node = len(parent)
-                    parent[node] = t
-                    label[node] = ui
-                    mapping = {}
-                    for d in self.vlists[ui]:
-                        if d in anchors:
-                            mapping[d] = d
-                        elif d in up:
-                            mapping[d] = up[d]  # same occurrence as the parent
-                        else:
-                            names = (f"{d.name}_u{n}" for n in numbers)
-                            mapping[d] = copy = Var(_fresh(names, used))
-                            origin[copy] = d
-                    phi[node] = mapping
-                    next_frontier.append(node)
-            frontier = next_frontier
+    def grow(self) -> None:
+        """Add a level: a node per child of each frontier node, which
+        names its fresh copies, emits its label's atoms and gets its
+        bag."""
+        parent, frontier = self.parent, []
+        for t, kids, up in self.frontier:
+            for ui in kids:
+                node = len(parent)
+                parent[node] = t
+                mapping = {}
+                for d in self.vlists[ui]:
+                    if d in up:
+                        mapping[d] = up[d]  # same occurrence as the parent
+                    else:
+                        names = (f"{d.name}_u{n}" for n in self.numbers)
+                        mapping[d] = copy = Var(_fresh(names, self.used))
+                        self.origin[copy] = d
+                for a in self.contained[ui]:
+                    self.atoms.append(Atom(a.relation, tuple(mapping.get(d, d) for d in a.args)))
+                self.bags[node] = frozenset(mapping.values())
+                frontier.append((node, self.children[ui], mapping))
+        self.frontier = frontier
 
-        atoms = []
-        for node, ui in label.items():
-            if ui is None:
-                continue
-            mapping = phi[node]
-            for a in self.contained[ui]:
-                atoms.append(Atom(a.relation, tuple(mapping.get(d, d) for d in a.args)))
-
-        qc = ConjunctiveQuery(self.q.free_vars, tuple(atoms), self.q.name)
-        bags = {
-            node: frozenset(mapping.values()) - anchors
-            for node, mapping in phi.items()
-        }
-        return qc, TreeDecomposition(parent, bags, self.k)
+    def query(self) -> ConjunctiveQuery:
+        """q_c at the depth grown so far."""
+        return ConjunctiveQuery(self.q.free_vars, tuple(self.atoms), self.q.name)

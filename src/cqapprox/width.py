@@ -21,6 +21,7 @@ from cqapprox.model import (
     Term,
     Var,
     _UnionFind,
+    _VAR_RE,
 )
 
 
@@ -172,9 +173,9 @@ def compute_ghw(q: ConjunctiveQuery, kmax: int) -> int | None:
     one goes to a dynamic program over subsets of existential variables:
     the last variable eliminated within a subset determines a bag (itself
     plus its neighborhood through already-eliminated variables), and the
-    cover number of that bag feeds the running maximum. Only that search
-    is guarded: a cyclic query with more than 12 existential variables
-    raises BudgetError.
+    cover number of that bag feeds the running maximum. Only that search,
+    run at kmax ≥ 2 (a cyclic query is never in GHW(1)), is guarded: past
+    12 existential variables it raises BudgetError.
     """
     return _ghw(q, kmax, ghw1_membership(q))
 
@@ -184,6 +185,8 @@ def _ghw(q: ConjunctiveQuery, kmax: int, td: TreeDecomposition | None) -> int | 
     also reports the decomposition computes once."""
     if td is not None:
         return 1 if kmax >= 1 else None
+    if kmax < 2:
+        return None
     evars = sorted(q.existential_vars)
     n = len(evars)
     if n > _GHW_VAR_GUARD:
@@ -265,7 +268,7 @@ def serialize_decomposition(td: TreeDecomposition) -> str:
 
 
 def parse_decomposition(text: str) -> TreeDecomposition:
-    """One line per node: ``node <id> parent <id|-> bag v1,v2,...``."""
+    """One line per node: ``node <id> parent <id|-> bag v1,v2,...``, v_i variables."""
     parent: dict[int, int | None] = {}
     bags: dict[int, frozenset[Term]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -279,7 +282,14 @@ def parse_decomposition(text: str) -> TreeDecomposition:
         if node in parent:
             raise ParseError(f"duplicate node {node}", lineno, 1)
         parent[node] = None if m.group(2) == "-" else int(m.group(2))
-        names = [s.strip() for s in m.group(3).split(",") if s.strip()]
-        bags[node] = frozenset(Var(s) for s in names)
+        bag, at = set(), len(raw) - len(raw.lstrip()) + m.start(3)
+        for piece in m.group(3).split(",") if m.group(3) else ():
+            name = piece.strip()
+            if not _VAR_RE.match(name):
+                col = at + len(piece) - len(piece.lstrip()) + 1
+                raise ParseError(f"expected variable in bag, found {name!r}", lineno, col)
+            bag.add(Var(name))
+            at += len(piece) + 1
+        bags[node] = frozenset(bag)
     # width is advisory on parsed certificates; validation re-derives covers
     return TreeDecomposition(parent, bags, 0)

@@ -302,7 +302,8 @@ def _pruned_exists(q, k, cmax, budget):
     for c in range(1, cmax + 1):
         if pebble.unroll_size(q, k, c) > budget:
             return None
-        qc, _ = tree.build(c)
+        tree.grow()
+        qc = tree.query()
         if pebble.wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)[0]:
             return core(qc)
     return None
@@ -359,9 +360,26 @@ def test_exists_retracts_only_the_part_the_game_confirms(monkeypatch):
     assert sizes == [22, 86]
 
 
+def test_exists_names_each_copy_once(monkeypatch):
+    # q_c is q_{c-1} plus a level: a search that runs to cmax = 8 names
+    # the copies of the pruned q_8 once, not those of every q_c afresh
+    made = []
+    real = pebble._fresh
+
+    def counting(names, used):
+        made.append(real(names, used))
+        return made[-1]
+
+    monkeypatch.setattr(pebble, "_fresh", counting)
+    assert approx.exists_overapprox(triangle, 1, cmax=8) is None
+    assert len(made) == len(set(made)) == 768
+
+
 def test_exists_retracts_a_one_component_unrolling_whole(monkeypatch):
     sizes = _core_sizes(monkeypatch)
-    qc, _ = pebble._Tree(gen_qn(1), 1, pruned=True).build(1)
+    tree = pebble._Tree(gen_qn(1), 1, pruned=True)
+    tree.grow()
+    qc = tree.query()
     assert approx.exists_overapprox(gen_qn(1), 1) is not None
     assert sizes == [len(qc.atoms)] == [2]
 
@@ -689,3 +707,16 @@ def test_symmetric_difference_matches_oracle():
         db = rand_db(rng, max_consts=4, max_facts=6)
         want = brute_evaluate(q, db) ^ brute_evaluate(q2, db)
         assert approx.symmetric_difference_eval(q, q2, db) == want
+
+
+@pytest.mark.parametrize("decide", [
+    lambda k: approx.identify_overapprox(triangle, triangle, k),
+    lambda k: approx.certify_overapprox(triangle, triangle, k),
+    lambda k: approx.identify_delta(triangle, triangle, k),
+    lambda k: approx.eval_delta_filtered(triangle, triangle, triangle_db, (), k),
+], ids=["identify_overapprox", "certify_overapprox", "identify_delta", "eval_delta_filtered"])
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_one_input_error(decide, k):
+    with pytest.raises(CqError, match=f"k must be at least 1, got {k}") as err:
+        decide(k)
+    assert type(err.value) is CqError

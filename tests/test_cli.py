@@ -11,7 +11,7 @@ import pytest
 from cqapprox import cli, width
 from cqapprox.cli import main
 from cqapprox.hom import equivalent, evaluate
-from cqapprox.model import parse_database, parse_query
+from cqapprox.model import ParseError, parse_database, parse_query
 from cqapprox.width import parse_decomposition, validate_decomposition
 
 from _support import fig1_qprime
@@ -425,6 +425,22 @@ def test_cert_garbage_is_exit_3(capsys, files, tmp_path):
     assert code == 3 and "error" in err
 
 
+@pytest.mark.parametrize("bag, col", [
+    ("X,y1", 21), ("x,Y1", 23), ("x-y", 21), ("x y1", 21), ("x,,y1", 23), ("x,", 23),
+])
+def test_cert_bag_names_follow_the_variable_grammar(capsys, files, tmp_path, bag, col):
+    cert = tmp_path / "bad.cert"
+    cert.write_text(f"node 0 parent - bag\nnode 1 parent 0 bag {bag}\n")
+    with pytest.raises(ParseError, match=f"line 2, column {col}"):
+        parse_decomposition(cert.read_text())
+    code, _, err = run(
+        capsys, "identify-over", "--k", "1",
+        "--query", files["fig1_q"], "--candidate", files["fig1_qp"],
+        "--cert", str(cert),
+    )
+    assert code == 3 and err.startswith("cqapprox: error:") and f"column {col}" in err
+
+
 def test_width_command(capsys, files):
     code, report, _ = run_json(capsys, "width", "--query", files["triangle"])
     assert code == 0 and report["witness"]["ghw"] == 2
@@ -444,6 +460,15 @@ def test_width_guard_is_inconclusive(capsys, files, tmp_path):
     p.write_text(f"q() :- {cycle}.")
     code, out, err = run(capsys, "width", "--query", str(p), "--k", "2")
     assert code == 2 and "inconclusive" in err
+
+
+def test_width_at_k1_decides_a_long_cycle(capsys, tmp_path):
+    # a cyclic query is never in GHW(1): the size guard does not apply
+    cycle = " , ".join(f"E(v{i},v{(i + 1) % 14})" for i in range(14))
+    p = tmp_path / "cycle.cq"
+    p.write_text(f"q() :- {cycle}.")
+    code, report, _ = run_json(capsys, "width", "--query", str(p), "--k", "1")
+    assert code == 1 and report["witness"] == {"bound": 1}
 
 
 def test_width_of_long_acyclic_query_is_decided(capsys, tmp_path):
@@ -585,14 +610,14 @@ def test_usage_error_is_exit_3_on_every_call(capsys, files):
     assert code == 0
 
 
-def _write_fails(stdout):
+def _write_fails(stdout, **popen):
     """`cqapprox gen qn:3` run in a new interpreter with its stdout on
     `stdout`: the return code and stderr."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "cqapprox.cli", "gen", "qn:3"],
         stdout=stdout, stderr=subprocess.PIPE, text=True, check=False,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src}, **popen,
     )
     return proc.returncode, proc.stderr
 
@@ -616,3 +641,22 @@ def test_a_closed_pipe_is_exit_3_without_traceback():
     assert code == 3
     assert err.startswith("cqapprox: error: cannot write the report")
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_a_closed_stdout_is_exit_3_without_traceback():
+    # started with fd 1 closed, the interpreter's sys.stdout is None and
+    # print writes nothing without an error
+    code, err = _write_fails(None, preexec_fn=lambda: os.close(1))
+    assert code == 3
+    assert err.startswith("cqapprox: error: cannot write the report")
+    assert err.count("cqapprox: error:") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("cmd", ["identify-over", "identify-delta", "eval-delta"])
+def test_k_below_one_is_exit_3(capsys, files, cmd):
+    argv = [cmd, "--query", files["triangle"], "--candidate", files["triangle"], "--k", "0"]
+    if cmd == "eval-delta":
+        argv += ["--db", files["c2_db"]]
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "k must be at least 1, got 0" in err

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cqapprox import pebble  # noqa: E402
 from cqapprox.hom import find_hom  # noqa: E402
-from cqapprox.width import validate_decomposition  # noqa: E402
+from cqapprox.width import TreeDecomposition, validate_decomposition  # noqa: E402
 from cqapprox.model import Atom, ConjunctiveQuery, Const, Database, Var  # noqa: E402
 
 from _oracles import game_configs, oracle_wins_unbounded  # noqa: E402
@@ -144,7 +144,8 @@ def test_pruned_unrolling_is_equivalent_to_the_full_one(q, k):
         if pebble.unroll_size(q, k, c) > 3_000:
             break
         full = pebble.unroll(q, k, c, budget=None)
-        qc, td = pruned.build(c)
+        pruned.grow()
+        qc, td = pruned.query(), TreeDecomposition(pruned.parent, pruned.bags, k)
         assert find_hom(full, full.free_vars, qc, qc.free_vars) is not None, c
         assert find_hom(qc, qc.free_vars, full, full.free_vars) is not None, c
         assert validate_decomposition(qc, td, k), c

@@ -650,7 +650,10 @@ def test_unroll_matches_bounded_wins_on_randoms():
 def test_pruned_unrolling_sizes():
     # the overlap-pruned tree exists_overapprox builds, against the full one
     for q, c, pruned, full in ((gen_qn_prime(4), 3, 218, 7_230), (triangle, 8, 765, 9_840)):
-        qc, td = pebble._Tree(q, 1, pruned=True).build(c)
+        tree = pebble._Tree(q, 1, pruned=True)
+        for _ in range(c):
+            tree.grow()
+        qc, td = tree.query(), width.TreeDecomposition(tree.parent, tree.bags, 1)
         assert len(qc.atoms) == pruned
         assert width.validate_decomposition(qc, td, 1)
         assert pebble.unroll_size(q, 1, c) == full

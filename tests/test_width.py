@@ -104,6 +104,11 @@ def test_compute_ghw_examples():
 
 def test_compute_ghw_kmax_cutoff():
     assert compute_ghw(triangle, 1) is None
+    # a cyclic query is never in GHW(1): past the guard, k = 1 still decides
+    c14 = parse_query("q() :- " + ", ".join(f"E(v{i},v{(i + 1) % 14})" for i in range(14)) + ".")
+    assert len(c14.existential_vars) > 12 and ghw1_membership(c14) is None
+    assert compute_ghw(c14, 1) is None
+    assert compute_ghw(c14, 0) is None
 
 
 def test_compute_ghw_guard():

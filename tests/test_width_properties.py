@@ -138,3 +138,14 @@ def test_minimal_cover_family_covers_every_component(parts):
         assert any(wins_cover_game(comp, (), p, (), 1)[0] for p in reps)
     for i, p in enumerate(reps):
         assert not any(wins_cover_game(p, (), o, (), 1)[0] for o in reps[:i] + reps[i + 1 :])
+    # the scan that restarts from the first component after each deletion
+    restarted, changed = list(comps), True
+    while changed:
+        changed = False
+        for i, p in enumerate(restarted):
+            rest = restarted[:i] + restarted[i + 1 :]
+            if any(wins_cover_game(p, (), o, (), 1)[0] for o in rest):
+                del restarted[i]
+                changed = True
+                break
+    assert reps == restarted
