@@ -53,6 +53,13 @@ would follow. So b lies in every endomorphism's image: when one
 component holds every search variable, a state where a variable of b has
 left every domain has no solution (`_Search.pin`); with more, another
 component may take it.
+
+Nor is an atom d tested whose terms are all free variables or terms of
+atoms shown non-removable, whatever the number of groups. Were d
+removable, some core C ⊆ q − d would be a retract of q, under a
+retraction ρ that fixes C pointwise. Every non-removable atom lies in C,
+so ρ fixes every term of d, and ρ(d) = d lies in C, against C ⊆ q − d.
+The first removable atom, and so every jump, stays the same.
 """
 
 from __future__ import annotations
@@ -369,6 +376,9 @@ class _Search:
         an atom whose variables lost less than a quarter of the values its
         rows hold, summed over its slots, is left for AC-4, which kills
         only the rows that go.
+
+        Atoms with one signature and the same surviving rows, such as the
+        doubling family's twin atoms, share one state, built once, copied.
         """
         sig, slots, occ = self.sig, self.slots, self.occ
         # vals[v] is a subset of proj[i][j], the projection of atom i's
@@ -403,26 +413,30 @@ class _Search:
 
         width = len(self.values)
         self.alive, self.counts = [], []
+        built = {}  # (signature, surviving rows) -> the first such atom's arrays
         for s, rs in zip(sig, live):
             total = len(s.rows)
-            if len(rs) == total:
-                self.alive.append(bytearray(b"\x01") * total)
-                self.counts.append([c[:] for c in s.counts])
+            key = (s, None if len(rs) == total else tuple(rs))
+            if key in built:  # another atom's state: copy it
+                alive, counts = built[key]
+                self.alive.append(alive[:])
+                self.counts.append([c[:] for c in counts])
                 continue
             if 2 * len(rs) <= total:  # count the live rows into zeroed arrays
                 alive, rows, sign = bytearray(total), rs, 1
                 counts = [
                     bytearray(width) if type(c) is bytearray else [0] * width for c in s.counts
                 ]
-            else:  # count the dead rows out of copied full counts
+            else:  # count the dead rows, if any, out of copied full counts
                 alive, sign = bytearray(b"\x01") * total, -1
-                rows = set(range(total)).difference(rs)
+                rows = set(range(total)).difference(rs) if len(rs) < total else ()
                 counts = [c[:] for c in s.counts]
             flag = sign > 0
             for r in rows:
                 alive[r] = flag
                 for cnt, val in zip(counts, s.rows[r]):
                     cnt[val] += sign
+            built[key] = alive, counts
             self.alive.append(alive)
             self.counts.append(counts)
 
@@ -537,23 +551,25 @@ class _Search:
     def undo(self, mark) -> set[int]:
         """Pop the trail back to `mark`; returns the variables restored."""
         trail, dom, size, held = self.trail, self.dom, self.size, self.held
-        amask, vmask = (1 << self.abits) - 1, (1 << self.vbits) - 1
+        alive, counts, sig = self.alive, self.counts, self.sig
+        abits, vbits = self.abits, self.vbits
+        amask, vmask = (1 << abits) - 1, (1 << vbits) - 1
         restored = set()
-        while len(trail) > mark:
-            e = trail.pop()
+        entries = trail[mark:]
+        del trail[mark:]
+        for e in reversed(entries):
             if e < 0:
                 e = ~e
-                v = e & vmask
-                dom[v][e >> self.vbits] = 1
+                v, d = e & vmask, e >> vbits
+                dom[v][d] = 1
                 size[v] += 1
                 restored.add(v)
                 if held is not None:
-                    held[e >> self.vbits] += 1
+                    held[d] += 1
             else:
-                i = e & amask
-                r = e >> self.abits
-                self.alive[i][r] = 1
-                for cnt, val in zip(self.counts[i], self.sig[i].rows[r]):
+                i, r = e & amask, e >> abits
+                alive[i][r] = 1
+                for cnt, val in zip(counts[i], sig[i].rows[r]):
                     cnt[val] += 1
         return restored
 
@@ -716,26 +732,34 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     find_hom(current, free, current − atom, free) returns. With one
     component of unanchored variables, its search pins the variables of
     the atoms shown non-removable (see the module docstring).
+
+    An atom whose terms are all free variables or terms of atoms shown
+    non-removable is fixed without a test: a retraction onto a core
+    fixes that core pointwise, the core holds every non-removable atom,
+    so the retraction maps such an atom to itself and the core holds it
+    too. The first removable atom and its homomorphism do not change.
     """
     base = {v: v for v in q.free_vars}
     current = q
-    fixed: set[Atom] = set()
-    while not fixed.issuperset(current.atoms):
+    held = set(base)  # the free variables and the terms of atoms shown non-removable
+    while not all(held.issuperset(a.args) for a in current.atoms):
         tgt = _Target(current)
         searches = [_Search(g, base, tgt) for g in _groups(current.atoms, base)]
         loose = [s for s in searches if s.vars]
         pinned = loose[0] if len(loose) == 1 else None
         if pinned is not None:
-            pinned.pin(t for b in fixed for t in b.args if t not in base)
-        for a in [b for b in current.atoms if b not in fixed]:
+            pinned.pin(held.difference(base))
+        for a in current.atoms:
+            if held.issuperset(a.args):  # every retraction fixes a: no test
+                continue
             h = _solve(searches, base, a)
             if h is not None:
                 image = [Atom(b.relation, tuple(map(h.get, b.args))) for b in current.atoms]
                 current = ConjunctiveQuery(current.free_vars, tuple(image), q.name)
                 break
-            fixed.add(a)
             if pinned is not None:
-                pinned.pin(t for t in a.args if t not in base)
+                pinned.pin(t for t in a.args if t not in held)
+            held.update(a.args)
     return current
 
 
