@@ -31,6 +31,7 @@ from cqapprox.model import (
 )
 from cqapprox.hom import (
     Hom,
+    _full_reducer,
     contains,
     core,
     endomorphisms,
@@ -46,7 +47,7 @@ from cqapprox.pebble import (
 )
 from cqapprox.width import (
     TreeDecomposition,
-    compute_ghw,
+    _ghw,
     ghw1_membership,
     validate_decomposition,
 )
@@ -83,29 +84,45 @@ class HashQuery:
     hom_to_base: Hom
 
 
-def _established_in_class(cand: ConjunctiveQuery, k: int, cert) -> bool:
+def _established_in_class(cand: ConjunctiveQuery, k: int, cert) -> TreeDecomposition | bool:
     """Decide cand ∈ GHW(k), or raise when that cannot be settled.
 
-    A supplied decomposition settles it positively when it validates; a
-    non-validating one proves nothing, which is reported as the
-    precondition being unknown rather than false. k < 1 is an input
-    error, raised before any membership test, as `k_unions` raises it.
+    Returns the decomposition that settled it, `ghw1_membership`'s join
+    tree or the validated `cert`; True when the exact-width search of a
+    cyclic candidate settled it, which yields no decomposition; False
+    when cand is not in GHW(k). A supplied decomposition that does not
+    validate proves nothing, which is reported as the precondition being
+    unknown rather than false. k < 1 is an input error, raised before any
+    membership test, as `k_unions` raises it.
     """
     if k < 1:
         raise CqError(f"k must be at least 1, got {k}")
     if cert is not None:
         if validate_decomposition(cand, cert, k):
-            return True
+            return cert
         raise PreconditionUnknownError(
             "the supplied decomposition does not validate at width "
             f"{k}; candidate membership is unverified"
         )
+    td = ghw1_membership(cand)
+    if td is not None:
+        return td
     try:
-        return compute_ghw(cand, k) is not None
+        return _ghw(cand, k, None) is not None
     except BudgetError as err:
         raise PreconditionUnknownError(
             f"cannot verify membership in GHW({k}): {err}"
         ) from err
+
+
+def _maps_into(src: ConjunctiveQuery, tgt, tgt_tuple, member) -> bool:
+    """Is there a homomorphism from src, its head sent to tgt_tuple, into
+    tgt? src is in GHW(k) and `member` is what `_established_in_class`
+    settled that with: a decomposition, along which `_full_reducer`
+    answers in one semijoin pass, or True, and then `find_hom` answers."""
+    if member is True:
+        return find_hom(src, src.free_vars, tgt, tgt_tuple) is not None
+    return _full_reducer(src, src.free_vars, tgt, tgt_tuple, member)
 
 
 def identify_overapprox(
@@ -118,15 +135,25 @@ def identify_overapprox(
     outside GHW(k) yields False; when membership cannot be settled
     within the size guard, PreconditionUnknownError is raised.
 
+    For a source in GHW(k) the game from it wins exactly when a
+    homomorphism exists (Chen & Dalmau 2005), so the forward direction
+    is decided by `_full_reducer` along the decomposition that settled
+    membership. Only a cyclic candidate settled by the exact-width
+    search, which yields none, plays the forward game.
+
     Membership is read literally, on cand as written: a candidate that
     is only equivalent to a GHW(k) query (a cyclic query with an acyclic
     core, say) yields False; pass core(cand) to ask up to equivalence.
     identify_delta and eval_delta_filtered read their candidate the same
     way.
     """
-    if not _established_in_class(cand, k, cert):
+    member = _established_in_class(cand, k, cert)
+    if not member:
         return False
-    forward = wins_cover_game(cand, cand.free_vars, q, q.free_vars, k)[0]
+    if member is True:
+        forward = wins_cover_game(cand, cand.free_vars, q, q.free_vars, k)[0]
+    else:
+        forward = _full_reducer(cand, cand.free_vars, q, q.free_vars, member)
     if not forward:
         return False
     return wins_cover_game(q, q.free_vars, cand, cand.free_vars, k)[0]
@@ -446,13 +473,15 @@ def identify_delta(
     """Is cand an incomparable GHW(k)-Δ-approximation of q?
 
     True iff cand lies in GHW(k), the cover game q into cand succeeds,
-    and neither query contains the other.
+    and neither query contains the other. Whether q ⊆ cand, a
+    homomorphism cand → q, is decided as `_maps_into` says.
     """
-    if not _established_in_class(cand, k, cert):
+    member = _established_in_class(cand, k, cert)
+    if not member:
         return False
     if not wins_cover_game(q, q.free_vars, cand, cand.free_vars, k)[0]:
         return False
-    return not contains(q, cand) and not contains(cand, q)
+    return not _maps_into(cand, q, q.free_vars, member) and not contains(cand, q)
 
 
 def eval_delta_filtered(
@@ -466,10 +495,13 @@ def eval_delta_filtered(
     """ā in the evaluation of the filtered Δ-approximation q* ∧ q_inc:
     the cover game q into (D, ā), intersected with exact membership of ā
     in q_inc(D). Warns when q_inc is comparable with q (the filter then
-    adds nothing beyond an over- or under-approximation)."""
-    if not _established_in_class(q_inc, k, cert):
+    adds nothing beyond an over- or under-approximation). The
+    homomorphisms out of q_inc, into q for q ⊆ q_inc and into (D, ā), are
+    decided as `_maps_into` says."""
+    member = _established_in_class(q_inc, k, cert)
+    if not member:
         raise CqError(f"filter query is not in GHW({k})")
-    if contains(q, q_inc) or contains(q_inc, q):
+    if _maps_into(q_inc, q, q.free_vars, member) or contains(q_inc, q):
         warnings.warn(
             "filter query is comparable with the base query",
             ComparabilityWarning,
@@ -477,7 +509,7 @@ def eval_delta_filtered(
         )
     if not wins_cover_game(q, q.free_vars, db, a, k)[0]:
         return False
-    return find_hom(q_inc, q_inc.free_vars, db, a) is not None
+    return _maps_into(q_inc, db, a, member)
 
 
 def symmetric_difference_eval(

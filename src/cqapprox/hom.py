@@ -60,6 +60,18 @@ removable, some core C ⊆ q − d would be a retract of q, under a
 retraction ρ that fixes C pointwise. Every non-removable atom lies in C,
 so ρ fixes every term of d, and ρ(d) = d lies in C, against C ⊆ q − d.
 The first removable atom, and so every jump, stays the same.
+
+`_full_reducer`, built on `join` and set semijoins, decides whether a
+homomorphism exists from a source with a decomposition of width k:
+Boolean `evaluate` of an acyclic query, and the questions `approx` asks
+of a candidate it has shown to be in GHW(k). It joins each bag's atoms
+and cover, at most k atoms wide, then semijoins each child into its
+parent from the leaves up (Yannakakis 1981). It is exact: each bag
+relation holds every homomorphism's restriction to that bag, and because
+the bags sharing a variable are connected in the tree, bag tuples that
+agree along its edges glue into one homomorphism. `_Search` would pay
+arc consistency over the whole target at every node, and the cut join
+of a whole acyclic body has no polynomial bound.
 """
 
 from __future__ import annotations
@@ -80,6 +92,7 @@ from cqapprox.model import (
     _intern,
     check_schemas_agree,
 )
+from cqapprox.width import _cover, ghw1_membership
 
 
 @dataclass
@@ -677,11 +690,92 @@ def _solve(searches, base, drop=None) -> dict | None:
     return mapping
 
 
+def _full_reducer(source, src_tuple, target, tgt_tuple, td) -> bool:
+    """Is there a homomorphism source → target with h(src_tuple) =
+    tgt_tuple? Decided along td, a decomposition of the source's
+    unanchored terms whose bags each have a cover of at most k atoms:
+    `ghw1_membership`'s join tree, or one that `validate_decomposition`
+    accepted. Raises the cover game's ArityErrors, and is False on a
+    clashing anchor map, as the game is.
+
+    Each atom is placed at a bag holding its unanchored terms, found by
+    looking its term set up among the bags (a join tree's bags are those
+    sets); the fully anchored atoms are checked once. A node's relation
+    is the join of its placed atoms, and of a least cover of its bag
+    when they leave part of it uncovered, kept to the bag's terms; nodes
+    of one join shape share one join. Semijoins from the leaves up then
+    cut each parent to the tuples that agree with some tuple of each
+    child, and the answer is whether every relation stays non-empty
+    (exact, as the module docstring shows).
+    """
+    check_schemas_agree(source, target)
+    base = _anchor_map(src_tuple, tgt_tuple)
+    if base is None:
+        return False
+    tgt = _Target(target)
+    bags = td.bags
+    node_of = {bag: n for n, bag in bags.items()}
+    placed: dict[int, list[Atom]] = {}
+    held = []  # the fully anchored atoms
+    for a in source.atoms:
+        free = frozenset(a.args).difference(base)
+        if not free:
+            held.append(a)
+            continue
+        n = node_of.get(free)
+        if n is None:  # a certificate's bag may hold more than the atom's terms
+            n = next(m for m, bag in bags.items() if free <= bag)
+        placed.setdefault(n, []).append(a)
+    if held and next(tgt.join(held, base, ()), None) is None:
+        return False
+
+    kids: dict[int, list[int]] = {}
+    order = []  # breadth first from the root: parents before children
+    for n, p in td.parent.items():
+        if p is None:
+            order.append(n)
+        else:
+            kids.setdefault(p, []).append(n)
+    for n in order:
+        order.extend(kids.get(n, ()))
+    shapes: dict[tuple, list] = {}
+    semis: dict[int, list] = {}  # per node, its children's shared terms and their images
+    for n in reversed(order):
+        bag, atoms = bags[n], placed.get(n, [])
+        if not bag.issubset([t for a in atoms for t in a.args]):
+            by_set = {a.arg_set: a for a in source.atoms}
+            cover = map(by_set.__getitem__, _cover(bag, by_set, None))
+            atoms = list(dict.fromkeys([*cover, *atoms]))
+        keep = sorted(bag)
+        number, shape = {}, []  # as `pebble._Game._enumerate` keys a join shape
+        for a in atoms:
+            shape.append(a.relation)
+            for t in a.args:
+                shape.append(number.setdefault(t, len(number)))
+        shape = (*shape, *map(base.get, number), *map(number.__getitem__, keep))
+        if shape not in shapes:
+            shapes[shape] = list(tgt.join(_bound_first(atoms, base), base, keep))
+        rows = shapes[shape]
+        for shared, seen in semis.pop(n, ()):
+            get = itemgetter(*map(keep.index, shared))
+            rows = [r for r in rows if get(r) in seen]
+        if not rows:
+            return False
+        p = td.parent[n]
+        if p is not None and (shared := sorted(bag & bags[p])):
+            seen = set(map(itemgetter(*map(keep.index, shared)), rows))
+            semis.setdefault(p, []).append((shared, seen))
+    return True
+
+
 def evaluate(q: ConjunctiveQuery, db: Database) -> set:
     """q(D): every tuple ā with a homomorphism (D_q, x̄) → (D, ā), by one
     join of the body cut to the head variables it binds. A head variable
-    outside the body ranges over the active domain."""
+    outside the body ranges over the active domain. A Boolean acyclic
+    query is answered by `_full_reducer` along its join tree instead."""
     check_schemas_agree(q, db)
+    if q.is_boolean and (td := ghw1_membership(q)) is not None:
+        return {()} if _full_reducer(q, (), db, (), td) else set()
     target = _Target(db)
     body = {t for a in q.atoms for t in a.args}
     inside = [v for v in dict.fromkeys(q.free_vars) if v in body]

@@ -40,21 +40,23 @@ class TreeDecomposition:
 
 def cover_number(bag, atoms, limit=None) -> int | None:
     """Fewest atom argument sets covering bag, or None (or > limit)."""
-    return _cover_number(bag, {a.arg_set for a in atoms}, limit)
+    cover = _cover(bag, {a.arg_set for a in atoms}, limit)
+    return None if cover is None else len(cover)
 
 
-def _cover_number(bag, arg_sets, limit) -> int | None:
-    """cover_number over the atoms' distinct argument sets, built once by
-    a caller that covers many bags."""
+def _cover(bag, arg_sets, limit) -> tuple | None:
+    """Fewest of the distinct argument sets `arg_sets`, built once by a
+    caller that covers many bags, whose union holds bag; None if more
+    than `limit` are needed."""
     need = frozenset(bag)
     if not need:
-        return 0
+        return ()
     sets = [s for s in arg_sets if s & need]
     top = len(sets) if limit is None else min(limit, len(sets))
     for p in range(1, top + 1):
         for combo in itertools.combinations(sets, p):
             if need <= frozenset().union(*combo):
-                return p
+                return combo
     return None
 
 
@@ -81,24 +83,23 @@ def ghw1_membership(q: ConjunctiveQuery) -> TreeDecomposition | None:
     weight is at most sum(occ(v) - 1), with equality iff each v's sets
     form a subtree: iff the forest is a join tree. An acyclic query has
     a join tree, which weighs the sum, so its maximum forest reaches the
-    sum too (Maier 1983).
+    sum too (Maier 1983). Only pairs sharing a variable weigh anything:
+    they are read from an index of variable to sets, not from all pairs.
     """
     edges = _existential_edges(q)
-    # weight of the chosen forest must reach sum over vars of (occurrences-1)
-    occ: dict[Term, int] = {}
-    for e in edges:
+    order = dict(enumerate(sorted(edges, key=sorted)))
+    holding: dict[Term, list[int]] = {}  # per variable, the sets holding it, in order
+    for i, e in order.items():
         for v in e:
-            occ[v] = occ.get(v, 0) + 1
-    target = sum(c - 1 for c in occ.values())
-
-    order = {i: e for i, e in enumerate(sorted(edges, key=sorted))}
-    pair_weights = sorted(
-        (
-            (-len(order[i] & order[j]), i, j)
-            for i, j in itertools.combinations(order, 2)
-            if order[i] & order[j]
-        ),
-    )
+            holding.setdefault(v, []).append(i)
+    # weight of the chosen forest must reach sum over vars of (occurrences-1)
+    target = sum(len(ids) - 1 for ids in holding.values())
+    # a pair that shares variables weighs one per variable it shares
+    weight: dict[tuple[int, int], int] = {}
+    for ids in holding.values():
+        for pair in itertools.combinations(ids, 2):
+            weight[pair] = weight.get(pair, 0) + 1
+    pair_weights = sorted((-w, i, j) for (i, j), w in weight.items())
     parent_of: dict[int, int | None] = {i: None for i in order}
     sets = _UnionFind()
     total = 0
@@ -160,7 +161,7 @@ def validate_decomposition(q: ConjunctiveQuery, td: TreeDecomposition, k: int) -
             tops.add(v)
 
     arg_sets = {a.arg_set for a in q.atoms}
-    return all(_cover_number(bag, arg_sets, k) is not None for bag in td.bags.values())
+    return all(_cover(bag, arg_sets, k) is not None for bag in td.bags.values())
 
 
 _GHW_VAR_GUARD = 12
@@ -169,13 +170,14 @@ _GHW_VAR_GUARD = 12
 def compute_ghw(q: ConjunctiveQuery, kmax: int) -> int | None:
     """Exact generalized hypertreewidth, or None when it exceeds kmax.
 
-    An acyclic query (ghw1_membership) has width 1 at any size. A cyclic
-    one goes to a dynamic program over subsets of existential variables:
-    the last variable eliminated within a subset determines a bag (itself
-    plus its neighborhood through already-eliminated variables), and the
-    cover number of that bag feeds the running maximum. Only that search,
-    run at kmax ≥ 2 (a cyclic query is never in GHW(1)), is guarded: past
-    12 existential variables it raises BudgetError.
+    An acyclic query (ghw1_membership) has width 1 at any size, 0 without
+    existential variables. A cyclic one goes to a dynamic program over
+    subsets of existential variables: the last variable eliminated within
+    a subset determines a bag (itself plus its neighborhood through
+    already-eliminated variables), and the cover number of that bag feeds
+    the running maximum. Only that search, run at kmax ≥ 2 (a cyclic
+    query is never in GHW(1)), is guarded: past 12 existential variables
+    it raises BudgetError.
     """
     return _ghw(q, kmax, ghw1_membership(q))
 
@@ -184,7 +186,7 @@ def _ghw(q: ConjunctiveQuery, kmax: int, td: TreeDecomposition | None) -> int | 
     """compute_ghw given td = ghw1_membership(q), which a caller that
     also reports the decomposition computes once."""
     if td is not None:
-        return 1 if kmax >= 1 else None
+        return td.width if td.width <= kmax else None
     if kmax < 2:
         return None
     evars = sorted(q.existential_vars)
@@ -209,7 +211,8 @@ def _ghw(q: ConjunctiveQuery, kmax: int, td: TreeDecomposition | None) -> int | 
     def bag_cover(bits: int) -> int | None:
         if bits not in cover_cache:
             bag = [evars[i] for i in range(n) if bits >> i & 1]
-            cover_cache[bits] = _cover_number(bag, arg_sets, kmax)
+            cover = _cover(bag, arg_sets, kmax)
+            cover_cache[bits] = None if cover is None else len(cover)
         return cover_cache[bits]
 
     def bag_of(v: int, eliminated: int) -> int:

@@ -295,10 +295,11 @@ def brute_cover_number(var_set, atoms):
 def oracle_ghw(q: ConjunctiveQuery):
     """Minimum over all elimination orderings of the existential variables of
     the maximum bag cover number; bags are v plus its not-yet-eliminated
-    neighborhood in the (progressively filled) co-occurrence graph."""
+    neighborhood in the (progressively filled) co-occurrence graph. A query
+    without existential variables has width 0: no bag needs a cover."""
     evars = sorted(q.existential_vars)
     if not evars:
-        return 1
+        return 0
     adj = {v: set() for v in evars}
     for a in q.atoms:
         ev = [t for t in set(a.args) if t in adj]

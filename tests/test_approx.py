@@ -2,6 +2,7 @@
 width-1 construction, and Δ-approximations."""
 
 import random
+import warnings
 
 import pytest
 
@@ -23,7 +24,12 @@ from cqapprox.model import (
 )
 from cqapprox.hom import ArityError, contains, core, equivalent, find_hom
 from cqapprox.pebble import UnrollBudgetWarning, WinningFamily
-from cqapprox.width import TreeDecomposition, ghw1_membership, validate_decomposition
+from cqapprox.width import (
+    TreeDecomposition,
+    compute_ghw,
+    ghw1_membership,
+    validate_decomposition,
+)
 
 from _oracles import brute_evaluate
 from _support import (
@@ -159,6 +165,56 @@ def test_identify_with_valid_certificate():
 def test_identify_width_two_with_supplied_bag():
     td = TreeDecomposition({0: None}, {0: frozenset(triangle.variables)}, 2)
     assert approx.identify_overapprox(triangle, triangle, 2, cert=td)
+
+
+def _count_games(monkeypatch) -> list:
+    built = []
+    real = pebble._Game.__init__
+
+    def counting(self, *args):
+        built.append(args[0])
+        real(self, *args)
+
+    monkeypatch.setattr(pebble._Game, "__init__", counting)
+    return built
+
+
+def test_identify_decides_a_decomposed_candidate_forward_by_semijoins(monkeypatch):
+    # the candidate's join tree decides cand -> q; only q's game into cand is played
+    built = _count_games(monkeypatch)
+    assert approx.identify_overapprox(gen_qn(4), gen_qn_prime(4), 1)
+    assert built == [gen_qn(4)]
+    built.clear()
+    assert not approx.identify_overapprox(gen_qn(5), gen_qn_prime(4), 1)
+    assert built == [gen_qn(5)]
+    built.clear()
+    td = TreeDecomposition({0: None}, {0: frozenset(triangle.variables)}, 2)
+    assert approx.identify_overapprox(triangle, triangle, 2, cert=td)
+    assert built == [triangle]
+
+
+def test_identify_plays_both_games_for_a_candidate_without_a_decomposition(monkeypatch):
+    # a cyclic candidate settled by the exact-width search comes with no tree
+    built = _count_games(monkeypatch)
+    assert approx.identify_overapprox(triangle, triangle, 2)
+    assert len(built) == 2
+
+
+def test_identify_forward_by_semijoins_agrees_with_both_games():
+    rng = random.Random(36)
+    found = 0
+    for _ in range(150):
+        q = rand_cq(rng, max_atoms=4, n_free=rng.choice((0, 1)))
+        cand = rand_cq(rng, max_atoms=4, n_free=len(q.free_vars))
+        for k in (1, 2):
+            want = (
+                compute_ghw(cand, k) is not None
+                and pebble.wins_cover_game(cand, cand.free_vars, q, q.free_vars, k)[0]
+                and pebble.wins_cover_game(q, q.free_vars, cand, cand.free_vars, k)[0]
+            )
+            assert approx.identify_overapprox(q, cand, k) == want
+            found += want
+    assert found
 
 
 # --- certify_overapprox --------------------------------------------------------
@@ -678,6 +734,50 @@ def test_eval_delta_warns_on_comparable_filter():
 def test_eval_delta_cyclic_filter_rejected():
     with pytest.raises(CqError):
         approx.eval_delta_filtered(c2, triangle, c2_db, (), 1)
+
+
+def test_delta_decides_homomorphisms_out_of_the_candidate_by_semijoins(monkeypatch):
+    # identify_delta: cand -> q; eval_delta_filtered: q_inc -> q and q_inc -> (D, a)
+    calls = []
+    real = approx._full_reducer
+
+    def counting(source, src_tuple, target, tgt_tuple, td):
+        calls.append((source, target))
+        return real(source, src_tuple, target, tgt_tuple, td)
+
+    monkeypatch.setattr(approx, "_full_reducer", counting)
+    assert approx.identify_delta(triangle, c2, 1)
+    assert calls == [(c2, triangle)]
+    calls.clear()
+    assert approx.eval_delta_filtered(triangle, c2, c2_db, (), 1)
+    assert calls == [(c2, triangle), (c2, c2_db)]
+    calls.clear()
+    assert not approx.eval_delta_filtered(triangle, c2, edge_db, (), 1)
+    assert calls == [(c2, triangle)]  # the game into edge_db is lost first
+
+
+def test_delta_answers_agree_with_find_hom():
+    rng = random.Random(37)
+    for _ in range(120):
+        q = rand_cq(rng, max_atoms=4, n_free=rng.choice((0, 1)))
+        cand = rand_cq(rng, max_atoms=4, n_free=len(q.free_vars))
+        db = rand_db(rng)
+        a = tuple(rng.choice(sorted(db.adom)) for _ in q.free_vars)
+        if ghw1_membership(cand) is None:
+            continue
+        want = (
+            pebble.wins_cover_game(q, q.free_vars, cand, cand.free_vars, 1)[0]
+            and not contains(q, cand) and not contains(cand, q)
+        )
+        assert approx.identify_delta(q, cand, 1) == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", approx.ComparabilityWarning)
+            got = approx.eval_delta_filtered(q, cand, db, a, 1)
+        want = (
+            pebble.wins_cover_game(q, q.free_vars, db, a, 1)[0]
+            and find_hom(cand, cand.free_vars, db, a) is not None
+        )
+        assert got == want
 
 
 # --- symmetric_difference_eval ----------------------------------------------

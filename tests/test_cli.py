@@ -454,6 +454,14 @@ def test_width_command(capsys, files):
     assert "decomposition" in report["witness"]
 
 
+def test_width_of_a_query_without_existential_variables_is_zero(capsys, tmp_path):
+    p = tmp_path / "loop.cq"
+    p.write_text("q(x) :- E(x,x).")
+    for k in ("0", "1"):
+        code, report, _ = run_json(capsys, "width", "--query", str(p), "--k", k)
+        assert code == 0 and report["witness"]["ghw"] == 0
+
+
 def test_width_guard_is_inconclusive(capsys, files, tmp_path):
     cycle = " , ".join(f"E(v{i},v{(i + 1) % 14})" for i in range(14))
     p = tmp_path / "cycle.cq"

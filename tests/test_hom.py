@@ -8,8 +8,8 @@ import tracemalloc
 import pytest
 
 from cqapprox import hom
-from cqapprox.approx import eval_overapprox
-from cqapprox.gen import corpus, gen_qn_prime
+from cqapprox.approx import eval_overapprox, exists_overapprox
+from cqapprox.gen import corpus, gen_qn, gen_qn_prime
 from cqapprox.hom import (
     contains,
     core,
@@ -28,6 +28,7 @@ from cqapprox.model import (
     parse_database,
     parse_query,
 )
+from cqapprox.width import ghw1_membership
 
 from _oracles import (
     brute_core,
@@ -45,6 +46,7 @@ from _support import (
     rand_anchored_pair,
     rand_cq,
     rand_db,
+    rand_tree_binary,
     triangle,
     triangle_db,
 )
@@ -168,6 +170,69 @@ def test_evaluate_cuts_existential_variables_as_it_joins():
     db = parse_database("".join(f"E(c{i},c{j})." for i in range(8) for j in range(8) if i != j))
     q = parse_query("q(x) :- " + ", ".join(f"E(x,y{i})" for i in range(1, 13)) + ".")
     assert evaluate(q, db) == {(Const(f"c{i}"),) for i in range(8)}
+
+
+def test_boolean_evaluate_agrees_with_the_join():
+    # an acyclic Boolean query is answered by the full reducer, a cyclic one by the join
+    rng = random.Random(38)
+    reduced = 0
+    for i in range(300):
+        q = rand_tree_binary(rng) if i % 3 == 0 else rand_cq(rng, max_atoms=6)
+        db = rand_db(rng, max_consts=4, max_facts=10)
+        joined = next(hom._Target(db).join(q.atoms, {}, ()), None) is not None
+        assert evaluate(q, db) == ({()} if joined else set())
+        reduced += ghw1_membership(q) is not None
+    assert reduced > 200
+
+
+def test_boolean_acyclic_evaluate_takes_the_semijoin_pass(monkeypatch):
+    # gen_qn(5)'s 62-atom existence witness into 103 random ternary facts:
+    # one cut join of the body took 25 s, the semijoin pass a millisecond
+    witness = exists_overapprox(gen_qn(5), 1, budget=None)
+    rng = random.Random(2)
+    consts = [Const(f"c{i}") for i in range(10)]
+    db = Database(tuple(Atom("R", tuple(rng.choice(consts) for _ in range(3))) for _ in range(111)))
+    reduced, joined = [], []
+    real_reducer, real_join = hom._full_reducer, hom._Target.join
+
+    def counting_reducer(*args):
+        reduced.append(args[0])
+        return real_reducer(*args)
+
+    def counting_join(self, atoms, base, keep):
+        joined.append(len(atoms))
+        return real_join(self, atoms, base, keep)
+
+    monkeypatch.setattr(hom, "_full_reducer", counting_reducer)
+    monkeypatch.setattr(hom._Target, "join", counting_join)
+    assert evaluate(witness, db) == {()}
+    assert reduced == [witness]
+    assert max(joined) == 2  # a bag's twin atoms, never the body
+    reduced.clear()
+    assert evaluate(parse_query("q(x) :- E(x,y), E(y,z)."), triangle_db)
+    assert evaluate(triangle, triangle_db) == {()}
+    assert reduced == []  # answers, and cyclic queries, stay on the join
+
+
+def test_full_reducer_raises_the_games_arity_errors():
+    q = parse_query("q(x) :- E(x,y).")
+    td = ghw1_membership(q)
+    with pytest.raises(ArityError):
+        hom._full_reducer(q, q.free_vars, edge_db, (), td)
+    with pytest.raises(ArityError):
+        hom._full_reducer(q, q.free_vars, Database((Atom("E", (Const("a"),)),)), (Const("a"),), td)
+    twice = parse_query("q(x,x) :- E(x,y).")
+    assert not hom._full_reducer(twice, twice.free_vars, edge_db, (Const("a"), Const("b")), td)
+
+
+def test_full_reducer_joins_bags_apart_when_their_anchors_differ():
+    # both bags join E(anchor, kept): one join shape only if x and y meet one value
+    q = parse_query("q(x,y) :- E(x,u), E(y,v).")
+    td = ghw1_membership(q)
+    a, b = Const("a"), Const("b")
+    assert hom._full_reducer(q, q.free_vars, edge_db, (a, a), td)
+    assert not hom._full_reducer(q, q.free_vars, edge_db, (a, b), td)
+    assert not hom._full_reducer(q, q.free_vars, edge_db, (b, a), td)
 
 
 def test_evaluate_builds_one_target_index(monkeypatch):

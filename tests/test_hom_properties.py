@@ -21,9 +21,12 @@
 - `core` is idempotent, equivalent to its input, and as small as the
   brute-force core;
 - a complete `chase_tgds` result satisfies its tgds, and the chase is
-  deterministic.
+  deterministic;
+- `_full_reducer` agrees with the cover game and the brute-force oracle
+  along join trees and along width-2 decompositions that need covers.
 """
 
+import random
 from collections import Counter
 
 import pytest
@@ -32,7 +35,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cqapprox.constraints import Egd, Tgd, chase_tgds, satisfies  # noqa: E402
-from cqapprox.hom import _Search, _Target, core, equivalent, evaluate  # noqa: E402
+from cqapprox.hom import (  # noqa: E402
+    _full_reducer,
+    _Search,
+    _Target,
+    core,
+    equivalent,
+    evaluate,
+)
 from cqapprox.model import (  # noqa: E402
     Atom,
     ConjunctiveQuery,
@@ -43,7 +53,21 @@ from cqapprox.model import (  # noqa: E402
     canonical_database,
 )
 
-from _oracles import brute_core, brute_evaluate, brute_homs, brute_satisfies  # noqa: E402
+from cqapprox.pebble import wins_cover_game  # noqa: E402
+from cqapprox.width import (  # noqa: E402
+    TreeDecomposition,
+    ghw1_membership,
+    validate_decomposition,
+)
+
+from _oracles import (  # noqa: E402
+    brute_core,
+    brute_evaluate,
+    brute_find_hom,
+    brute_homs,
+    brute_satisfies,
+)
+from _support import rand_anchored_pair  # noqa: E402
 
 SCHEMA = (("E", 2), ("P", 1))
 TERNARY = SCHEMA + (("T", 3),)
@@ -369,3 +393,38 @@ def test_complete_chase_satisfies_its_tgds(q, tgds):
     assert (again.query, again.complete) == (res.query, res.complete)
     if res.complete:
         assert brute_satisfies(canonical_database(res.query)[0], tgds)
+
+
+def _star(q: ConjunctiveQuery) -> TreeDecomposition:
+    """A root bag of every existential variable; under it a node per
+    distinct existential term set of an atom, and under that one the same
+    set without its least variable. The root has no atom of its own and
+    needs a cover; a child without its own atom joins a cover projected."""
+    evars = q.existential_vars
+    parent, bags = {0: None}, {0: evars}
+    for s in dict.fromkeys(a.arg_set & evars for a in q.atoms):
+        if s:
+            parent[n := len(parent)], bags[n] = 0, s
+            if len(s) > 1:
+                parent[n + 1], bags[n + 1] = n, s - {min(s)}
+    return TreeDecomposition(parent, bags, 2)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_full_reducer_agrees_with_the_game_and_the_oracle(seed):
+    """Along ghw1_membership's join tree, whose source the game at k = 1
+    and 2 decides exactly, and along decompositions that validate at
+    k = 2: one bag, and `_star`'s, whose root takes a two-atom cover."""
+    q, src_t, db, tgt_t = rand_anchored_pair(random.Random(seed))
+    want = brute_find_hom(q, src_t, db, tgt_t) is not None
+    tree = ghw1_membership(q)
+    if tree is not None:
+        assert _full_reducer(q, src_t, db, tgt_t, tree) == want
+        for k in (1, 2):
+            assert wins_cover_game(q, src_t, db, tgt_t, k)[0] == want
+    one = TreeDecomposition({0: None}, {0: q.existential_vars}, 2)
+    for td in (one, _star(q)):
+        if validate_decomposition(q, td, 2):
+            assert _full_reducer(q, src_t, db, tgt_t, td) == want
+            assert wins_cover_game(q, src_t, db, tgt_t, 2)[0] == want

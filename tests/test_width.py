@@ -1,16 +1,19 @@
 """Acyclicity, decomposition validation, and exact width."""
 
+import itertools
 import random
 
 import pytest
 
-from cqapprox.gen import gen_qn_prime
+from cqapprox import width
+from cqapprox.gen import gen_qn, gen_qn_prime
 from cqapprox.model import (
     Atom,
     BudgetError,
     ConjunctiveQuery,
     Term,
     Var,
+    _UnionFind,
     disjoint_conjunction,
     parse_query,
 )
@@ -25,7 +28,7 @@ from cqapprox.width import (
 )
 
 from _oracles import oracle_ghw
-from _support import path2, rand_cq, triangle
+from _support import path2, rand_cq, rand_tree_binary, triangle
 
 fig1_qprime = parse_query(
     "q() :- P_a(x,y1), P_a(y1,x), P_b(x,z), P_b(z,x), P_a(z,y2), P_a(y2,z)."
@@ -129,6 +132,67 @@ def test_compute_ghw_guard_spares_acyclic_queries():
         assert compute_ghw(q, 0) is None
 
 
+def test_a_query_without_existential_variables_has_width_zero():
+    q = parse_query("q(x) :- E(x,x).")
+    assert ghw1_membership(q).width == 0
+    assert [compute_ghw(q, k) for k in (0, 1, 2)] == [0, 0, 0]
+    assert compute_ghw(parse_query("q(x) :- E(x,y)."), 0) is None
+
+
+def _all_pairs_ghw1_membership(q):
+    """ghw1_membership as it was built before the index of variable to
+    sets: Kruskal over every pair of existential argument sets."""
+    edges = width._existential_edges(q)
+    occ = {}
+    for e in edges:
+        for v in e:
+            occ[v] = occ.get(v, 0) + 1
+    target = sum(c - 1 for c in occ.values())
+    order = {i: e for i, e in enumerate(sorted(edges, key=sorted))}
+    pair_weights = sorted(
+        (-len(order[i] & order[j]), i, j)
+        for i, j in itertools.combinations(order, 2)
+        if order[i] & order[j]
+    )
+    parent_of = {i: None for i in order}
+    sets = _UnionFind()
+    total = 0
+    for negw, i, j in pair_weights:
+        if not sets.union(j, i):
+            continue
+        chain, node = [], j
+        while node is not None:
+            chain.append(node)
+            node = parent_of[node]
+        for a, b in zip(chain, chain[1:]):
+            parent_of[b] = a
+        parent_of[j] = i
+        total += -negw
+    if total < target:
+        return None
+    parent, bags = {0: None}, {0: frozenset()}
+    for i in order:
+        parent[i + 1] = 0 if parent_of[i] is None else parent_of[i] + 1
+        bags[i + 1] = order[i]
+    return TreeDecomposition(parent, bags, 1 if edges else 0)
+
+
+def test_ghw1_membership_matches_the_all_pairs_reference():
+    rng = random.Random(39)
+    queries = [gen_qn_prime(n) for n in range(1, 7)] + [gen_qn(n) for n in range(1, 5)]
+    queries += [
+        rand_cq(rng, max_atoms=8, max_vars=6, n_free=rng.choice((0, 0, 1, 2)))
+        for _ in range(600)
+    ]
+    queries += [rand_tree_binary(rng, max_atoms=14) for _ in range(100)]
+    acyclic = 0
+    for q in queries:
+        got = ghw1_membership(q)
+        assert got == _all_pairs_ghw1_membership(q), q
+        acyclic += got is not None
+    assert 100 < acyclic < len(queries)
+
+
 def test_compute_ghw_matches_permutation_oracle():
     rng = random.Random(31)
     for _ in range(40):
@@ -141,7 +205,7 @@ def test_ghw1_iff_width_one():
     for _ in range(60):
         q = rand_cq(rng, max_atoms=5, max_vars=5, n_free=rng.choice((0, 1)))
         acyclic = ghw1_membership(q) is not None
-        assert acyclic == (compute_ghw(q, 5) == 1)
+        assert acyclic == (compute_ghw(q, 5) <= 1)  # 0 without existential variables
 
 
 def test_ghw_monotone_under_atom_deletion():
