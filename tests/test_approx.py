@@ -770,9 +770,11 @@ def test_delta_answers_agree_with_find_hom():
             and not contains(q, cand) and not contains(cand, q)
         )
         assert approx.identify_delta(q, cand, 1) == want
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", approx.ComparabilityWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             got = approx.eval_delta_filtered(q, cand, db, a, 1)
+        comparable = contains(q, cand) or contains(cand, q)
+        assert [w.category for w in caught] == [approx.ComparabilityWarning] * comparable
         want = (
             pebble.wins_cover_game(q, q.free_vars, db, a, 1)[0]
             and find_hom(cand, cand.free_vars, db, a) is not None
