@@ -36,7 +36,6 @@ from cqapprox.hom import (
     core,
     endomorphisms,
     evaluate,
-    find_hom,
 )
 from cqapprox.pebble import (
     UnrollBudgetWarning,
@@ -115,13 +114,15 @@ def _established_in_class(cand: ConjunctiveQuery, k: int, cert) -> TreeDecomposi
         ) from err
 
 
-def _maps_into(src: ConjunctiveQuery, tgt, tgt_tuple, member) -> bool:
+def _maps_into(src: ConjunctiveQuery, tgt, tgt_tuple, k: int, member) -> bool:
     """Is there a homomorphism from src, its head sent to tgt_tuple, into
     tgt? src is in GHW(k) and `member` is what `_established_in_class`
     settled that with: a decomposition, along which `_full_reducer`
-    answers in one semijoin pass, or True, and then `find_hom` answers."""
+    answers in one semijoin pass, or True, and then the k-cover game
+    answers. For a source in GHW(k) the game wins exactly when a
+    homomorphism exists (Chen & Dalmau 2005)."""
     if member is True:
-        return find_hom(src, src.free_vars, tgt, tgt_tuple) is not None
+        return wins_cover_game(src, src.free_vars, tgt, tgt_tuple, k)[0]
     return _full_reducer(src, src.free_vars, tgt, tgt_tuple, member)
 
 
@@ -135,11 +136,10 @@ def identify_overapprox(
     outside GHW(k) yields False; when membership cannot be settled
     within the size guard, PreconditionUnknownError is raised.
 
-    For a source in GHW(k) the game from it wins exactly when a
-    homomorphism exists (Chen & Dalmau 2005), so the forward direction
-    is decided by `_full_reducer` along the decomposition that settled
-    membership. Only a cyclic candidate settled by the exact-width
-    search, which yields none, plays the forward game.
+    The forward direction, a homomorphism cand → q, is decided as
+    `_maps_into` says: by `_full_reducer` along the decomposition that
+    settled membership, and only for a cyclic candidate settled by the
+    exact-width search, which yields none, by the forward game.
 
     Membership is read literally, on cand as written: a candidate that
     is only equivalent to a GHW(k) query (a cyclic query with an acyclic
@@ -150,11 +150,7 @@ def identify_overapprox(
     member = _established_in_class(cand, k, cert)
     if not member:
         return False
-    if member is True:
-        forward = wins_cover_game(cand, cand.free_vars, q, q.free_vars, k)[0]
-    else:
-        forward = _full_reducer(cand, cand.free_vars, q, q.free_vars, member)
-    if not forward:
+    if not _maps_into(cand, q, q.free_vars, k, member):
         return False
     return wins_cover_game(q, q.free_vars, cand, cand.free_vars, k)[0]
 
@@ -481,7 +477,7 @@ def identify_delta(
         return False
     if not wins_cover_game(q, q.free_vars, cand, cand.free_vars, k)[0]:
         return False
-    return not _maps_into(cand, q, q.free_vars, member) and not contains(cand, q)
+    return not _maps_into(cand, q, q.free_vars, k, member) and not contains(cand, q)
 
 
 def eval_delta_filtered(
@@ -501,7 +497,7 @@ def eval_delta_filtered(
     member = _established_in_class(q_inc, k, cert)
     if not member:
         raise CqError(f"filter query is not in GHW({k})")
-    if _maps_into(q_inc, q, q.free_vars, member) or contains(q_inc, q):
+    if _maps_into(q_inc, q, q.free_vars, k, member) or contains(q_inc, q):
         warnings.warn(
             "filter query is comparable with the base query",
             ComparabilityWarning,
@@ -509,7 +505,7 @@ def eval_delta_filtered(
         )
     if not wins_cover_game(q, q.free_vars, db, a, k)[0]:
         return False
-    return _maps_into(q_inc, db, a, member)
+    return _maps_into(q_inc, db, a, k, member)
 
 
 def symmetric_difference_eval(

@@ -690,6 +690,19 @@ def _solve(searches, base, drop=None) -> dict | None:
     return mapping
 
 
+def _join_shape(atoms, base, keep) -> tuple[tuple, tuple]:
+    """What fixes the answers of `_Target.join(atoms, base, keep)` up to
+    renaming terms: the atoms' relations with their terms numbered by
+    first occurrence, then the anchor value per number; and the numbers
+    of the terms kept, in `keep` order."""
+    number, shape = {}, []  # the key names no term
+    for a in atoms:
+        shape.append(a.relation)
+        for t in a.args:
+            shape.append(number.setdefault(t, len(number)))
+    return (*shape, *map(base.get, number)), tuple(map(number.__getitem__, keep))
+
+
 def _full_reducer(source, src_tuple, target, tgt_tuple, td) -> bool:
     """Is there a homomorphism source → target with h(src_tuple) =
     tgt_tuple? Decided along td, a decomposition of the source's
@@ -714,7 +727,7 @@ def _full_reducer(source, src_tuple, target, tgt_tuple, td) -> bool:
         return False
     tgt = _Target(target)
     bags = td.bags
-    node_of = {bag: n for n, bag in bags.items()}
+    node_of = {frozenset(bag): n for n, bag in bags.items()}  # a cert's bags may be sets
     placed: dict[int, list[Atom]] = {}
     held = []  # the fully anchored atoms
     for a in source.atoms:
@@ -747,12 +760,7 @@ def _full_reducer(source, src_tuple, target, tgt_tuple, td) -> bool:
             cover = map(by_set.__getitem__, _cover(bag, by_set, None))
             atoms = list(dict.fromkeys([*cover, *atoms]))
         keep = sorted(bag)
-        number, shape = {}, []  # as `pebble._Game._enumerate` keys a join shape
-        for a in atoms:
-            shape.append(a.relation)
-            for t in a.args:
-                shape.append(number.setdefault(t, len(number)))
-        shape = (*shape, *map(base.get, number), *map(number.__getitem__, keep))
+        shape = _join_shape(atoms, base, keep)
         if shape not in shapes:
             shapes[shape] = list(tgt.join(_bound_first(atoms, base), base, keep))
         rows = shapes[shape]

@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from cqapprox.model import Atom, ConjunctiveQuery, CqError, Term, Var
 from cqapprox.model import _fresh, check_schemas_agree
-from cqapprox.hom import _anchor_map, _atoms_of, _bound_first, _project, _Target
+from cqapprox.hom import _anchor_map, _atoms_of, _bound_first, _join_shape, _project, _Target
 from cqapprox.width import TreeDecomposition
 
 
@@ -158,18 +158,14 @@ class _Game:
         counted, ties in witness order); without, reordering costs more
         than it saves on small games.
 
-        The answers depend only on the union's join shape: its contained
-        atoms with terms numbered by first occurrence, the anchor values
-        per number and the numbers kept. A shape is joined once; unions
+        The answers depend only on the union's join shape
+        (`hom._join_shape`): its contained atoms with terms numbered by
+        first occurrence, the anchor values per number and the numbers
+        kept. A shape is joined once; unions
         of it share the list, or a reordered copy made once per variable
         order."""
-        number, shape = {}, []  # the cache key names no term
-        for a in contained:
-            shape.append(a.relation)
-            for t in a.args:
-                shape.append(number.setdefault(t, len(number)))
-        keep = tuple(map(number.__getitem__, vlist))
-        shape = (*shape, *map(self.base.get, number), *sorted(keep))
+        shape, keep = _join_shape(contained, self.base, vlist)
+        shape = (shape, tuple(sorted(keep)))
         if shape not in shapes:
             atoms = [a for a in contained if a in u.witness]
             atoms += [a for a in contained if a not in u.witness]

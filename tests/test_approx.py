@@ -200,6 +200,19 @@ def test_identify_plays_both_games_for_a_candidate_without_a_decomposition(monke
     assert len(built) == 2
 
 
+def test_a_certificate_may_hold_its_bags_as_sets():
+    # validate_decomposition only asks <=, & and - of a bag
+    td = TreeDecomposition({0: None}, {0: set(triangle.variables)}, 2)
+    assert approx.identify_overapprox(triangle, triangle, 2, cert=td)
+    tree = ghw1_membership(fig1_qprime)
+    td = TreeDecomposition(tree.parent, {n: set(b) for n, b in tree.bags.items()}, 1)
+    assert approx.identify_overapprox(fig1_q, fig1_qprime, 1, cert=td)
+    td = TreeDecomposition({0: None}, {0: set(c2.variables)}, 1)
+    assert approx.identify_delta(triangle, c2, 1, cert=td)
+    assert approx.eval_delta_filtered(triangle, c2, c2_db, (), 1, cert=td)
+    assert not approx.eval_delta_filtered(triangle, c2, edge_db, (), 1, cert=td)
+
+
 def test_identify_forward_by_semijoins_agrees_with_both_games():
     rng = random.Random(36)
     found = 0
@@ -780,6 +793,34 @@ def test_delta_answers_agree_with_find_hom():
             and find_hom(cand, cand.free_vars, db, a) is not None
         )
         assert got == want
+
+
+def test_delta_plays_the_game_for_a_candidate_without_a_decomposition():
+    # a cyclic candidate settled by the exact-width search: the k-cover game
+    # out of it answers as find_hom does (Chen & Dalmau 2005)
+    rng = random.Random(38)
+    seen = 0
+    for _ in range(300):
+        q = rand_binary_boolean_cq(rng, max_atoms=6, max_vars=5)
+        cand = rand_binary_boolean_cq(rng, max_atoms=6, max_vars=4)
+        if ghw1_membership(cand) is not None or compute_ghw(cand, 2) is None:
+            continue
+        seen += 1
+        want = (
+            pebble.wins_cover_game(q, (), cand, (), 2)[0]
+            and not contains(q, cand) and not contains(cand, q)
+        )
+        assert approx.identify_delta(q, cand, 2) == want
+        db = rand_db(rng, schema=[("E", 2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = approx.eval_delta_filtered(q, cand, db, (), 2)
+        want = (
+            pebble.wins_cover_game(q, (), db, (), 2)[0]
+            and find_hom(cand, (), db, ()) is not None
+        )
+        assert got == want
+    assert seen >= 20
 
 
 # --- symmetric_difference_eval ----------------------------------------------
