@@ -62,11 +62,10 @@ so ρ fixes every term of d, and ρ(d) = d lies in C, against C ⊆ q − d.
 The first removable atom, and so every jump, stays the same.
 
 `_full_reducer`, built on `join` and set semijoins, decides whether a
-homomorphism exists from a source with a decomposition of width k:
-Boolean `evaluate` of an acyclic query, and the questions `approx` asks
-of a candidate it has shown to be in GHW(k). It joins each bag's atoms
-and cover, at most k atoms wide, then semijoins each child into its
-parent from the leaves up (Yannakakis 1981). It is exact: each bag
+homomorphism exists from a source with a decomposition of width k: the
+questions `approx` asks of a candidate it has shown to be in GHW(k). It
+joins each bag's atoms and cover, at most k atoms wide, then semijoins
+each child into its parent from the leaves up (Yannakakis 1981). It is exact: each bag
 relation holds every homomorphism's restriction to that bag, and because
 the bags sharing a variable are connected in the tree, bag tuples that
 agree along its edges glue into one homomorphism. `_Search` would pay
@@ -92,7 +91,7 @@ from cqapprox.model import (
     _intern,
     check_schemas_agree,
 )
-from cqapprox.width import _cover, ghw1_membership
+from cqapprox.width import _cover
 
 
 @dataclass
@@ -779,11 +778,8 @@ def _full_reducer(source, src_tuple, target, tgt_tuple, td) -> bool:
 def evaluate(q: ConjunctiveQuery, db: Database) -> set:
     """q(D): every tuple ā with a homomorphism (D_q, x̄) → (D, ā), by one
     join of the body cut to the head variables it binds. A head variable
-    outside the body ranges over the active domain. A Boolean acyclic
-    query is answered by `_full_reducer` along its join tree instead."""
+    outside the body ranges over the active domain."""
     check_schemas_agree(q, db)
-    if q.is_boolean and (td := ghw1_membership(q)) is not None:
-        return {()} if _full_reducer(q, (), db, (), td) else set()
     target = _Target(db)
     body = {t for a in q.atoms for t in a.args}
     inside = [v for v in dict.fromkeys(q.free_vars) if v in body]
