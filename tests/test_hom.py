@@ -185,17 +185,6 @@ def test_full_reducer_agrees_with_boolean_evaluate():
     assert reduced > 200
 
 
-def test_boolean_evaluate_stays_on_the_join(monkeypatch):
-    # on 1e2-fact databases the cut join answers 3- to 6-atom Boolean
-    # queries no slower than a membership test plus the semijoin pass
-    reduced = []
-    real = hom._full_reducer
-    monkeypatch.setattr(hom, "_full_reducer", lambda *a: reduced.append(a) or real(*a))
-    assert evaluate(path2, triangle_db) == {()}
-    assert evaluate(triangle, triangle_db) == {()}
-    assert reduced == []
-
-
 def test_full_reducer_joins_no_more_than_a_bag(monkeypatch):
     # gen_qn(5)'s 62-atom existence witness into 103 random ternary facts:
     # one cut join of the body took 25 s, the semijoin pass a millisecond
