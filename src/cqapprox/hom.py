@@ -49,10 +49,17 @@ states, propagating, searching, and undoing back to the mark. On
 success it jumps to the image of the homomorphism found and repeats. An
 atom once shown non-removable is never tested again: if q ↛ q − b, no
 image I ⊆ q of q that contains b maps into I − b, since q → I → I − b
-would follow. So b lies in every endomorphism's image: when one
-component holds every search variable, a state where a variable of b has
-left every domain has no solution (`_Search.pin`); with more, another
-component may take it.
+would follow. So b lies in every endomorphism's image.
+
+Every group's search pins each variable of such an atom to its own value
+(`_Search.pin`): a state where one has lost it is a wipe-out. The
+verdicts stay. Take any h: q → q − a. Some power r = hⁿ is idempotent,
+an endomorphism whose image lies in q − a and holds b, so r fixes b's
+terms: r is a homomorphism q → q − a that meets every pin. The witnesses
+stay too. Pins never change a state, they only cut branches, so a search
+during which no pin cut a branch walks the unpinned tree and finds its
+first solution; one during which a pin did cut is run again unpinned
+(`_solve`). Only a drop test that succeeds after a cut pays for that.
 
 Nor is an atom d tested whose terms are all free variables or terms of
 atoms shown non-removable, whatever the number of groups. Were d
@@ -345,11 +352,13 @@ class _Search:
         self.abits = max(1, len(atoms).bit_length())
         self.vbits = max(1, len(self.vars).bit_length())
         self.trail = None  # the initial state is never undone: no entries
-        self.held = None  # see pin()
+        self.vid = vid
+        self.pins = [-1] * len(self.vars)  # per variable, the value id pinned, or -1: see pin()
+        self.cut = False  # whether a pin has cut a branch: see _solve
 
         self.sig: list[_Rows] = []
         self.slots: list[tuple[int, ...]] = []
-        self.by_rel: dict[str, list[int]] = {}
+        self.by_rel: dict[str, dict[_Rows, list[int]]] = {}  # relation -> signature -> atoms
         for i, a in enumerate(atoms):
             slots: list[int] = []
             pattern = []
@@ -359,7 +368,7 @@ class _Search:
                 pattern.append(self.base[t] if t in self.base else slots.index(vid[t]))
             self.sig.append(target.rows(a.relation, tuple(pattern)))
             self.slots.append(tuple(slots))
-            self.by_rel.setdefault(a.relation, []).append(i)
+            self.by_rel.setdefault(a.relation, {}).setdefault(self.sig[i], []).append(i)
 
         self.ok = all(s.rows for s in self.sig)
         if not self.ok:
@@ -471,11 +480,12 @@ class _Search:
 
     def _kill(self, i, rs, queue, changed) -> bool:
         """Kill the live rows `rs` of atom i, queueing every value whose
-        last support in atom i goes. False if a domain or atom empties.
+        last support in atom i goes. False if a domain or atom empties, or
+        a pinned variable loses its own value.
 
         A killed row is always finished, every slot count lowered, before
         returning: undo() restores whole rows."""
-        alive, counts, slots, held = self.alive[i], self.counts[i], self.slots[i], self.held
+        alive, counts, slots, pins = self.alive[i], self.counts[i], self.slots[i], self.pins
         rows, dom, size, trail = self.sig[i].rows, self.dom, self.size, self.trail
         for r in rs:
             if not alive[r]:
@@ -494,12 +504,11 @@ class _Search:
                     size[v] -= 1
                     if trail is not None:
                         trail.append(~(val << self.vbits | v))
-                    if held is not None:
-                        held[val] -= 1
-                        if not held[val] and val in self.pinned:
-                            wiped = True
                     if not size[v]:
                         wiped = True
+                        continue
+                    if pins[v] == val:
+                        wiped = self.cut = True
                         continue
                     queue += (v, val)
                     if changed is not None:
@@ -523,29 +532,29 @@ class _Search:
         return True
 
     def _assign(self, v, val, changed) -> bool:
-        dv, held = self.dom[v], self.held
+        if self.pins[v] >= 0 and self.pins[v] != val:
+            self.cut = True
+            return False
+        dv = self.dom[v]
         queue: deque[int] = deque()
         for d in itertools.compress(range(len(dv)), dv):
             if d != val:
                 dv[d] = 0
                 queue += (v, d)
                 self.trail.append(~(d << self.vbits | v))
-                if held is not None:
-                    held[d] -= 1
         self.size[v] = 1
         return self._propagate(queue, changed)
 
-    def pin(self, values):
-        """Make `_kill` end, as a wipe-out, a state where a pinned value has
-        left every domain: sound only if every solution takes each pinned
-        value (see core). The first call counts in `held` the domains holding each value."""
-        if self.held is None:
-            ids = range(len(self.values))
-            self.held = held = [0] * len(ids)
-            for d in itertools.chain(*(itertools.compress(ids, f) for f in self.dom)):
-                held[d] += 1
-            self.pinned = set()
-        self.pinned.update(map(self.eid.__getitem__, values))
+    def pin(self, terms):
+        """Pin each of `terms` that is a variable here to its own value: a
+        state where it has lost that value is a wipe-out, in `_kill` and
+        `_assign`. Sound only for a target holding the source, where some
+        solution, if any, fixes every pinned variable (see core). Pins
+        never change the state: they only cut branches, and set `cut`."""
+        for t in terms:
+            v = self.vid.get(t)
+            if v is not None:
+                self.pins[v] = self.eid[t]
 
     def drop(self, fact) -> bool:
         """Remove one target fact and propagate; False on a wipe-out.
@@ -554,15 +563,19 @@ class _Search:
         """
         queue: deque[int] = deque()
         row = tuple(map(self.eid.get, fact.args))
-        for i in self.by_rel.get(fact.relation, ()):
-            r = self.sig[i].row_of(row)
-            if r is not None and not self._kill(i, (r,), queue, None):
-                return False
+        alive = self.alive
+        for sig, atoms in self.by_rel.get(fact.relation, {}).items():
+            r = sig.row_of(row)
+            if r is None:
+                continue
+            for i in atoms:
+                if alive[i][r] and not self._kill(i, (r,), queue, None):
+                    return False
         return self._propagate(queue, None)
 
     def undo(self, mark) -> set[int]:
         """Pop the trail back to `mark`; returns the variables restored."""
-        trail, dom, size, held = self.trail, self.dom, self.size, self.held
+        trail, dom, size = self.trail, self.dom, self.size
         alive, counts, sig = self.alive, self.counts, self.sig
         abits, vbits = self.abits, self.vbits
         amask, vmask = (1 << abits) - 1, (1 << vbits) - 1
@@ -576,8 +589,6 @@ class _Search:
                 dom[v][d] = 1
                 size[v] += 1
                 restored.add(v)
-                if held is not None:
-                    held[d] += 1
             else:
                 i, r = e & amask, e >> abits
                 alive[i][r] = 1
@@ -674,15 +685,26 @@ def _groups(atoms, base) -> list[list[Atom]]:
 def _solve(searches, base, drop=None) -> dict | None:
     """The first solution of each search, merged into one mapping
     extending base, or None as soon as one has none. With `drop`, that
-    target fact is dropped from each search for its solve, then restored."""
+    target fact is dropped from each search for its solve, then restored.
+
+    A solution found while no pin cut a branch is the unpinned search's
+    first: pins leave every state as it was, so both searches walked the
+    same tree. One found after a cut is searched for again unpinned, as
+    an earlier solution may lie in the branch cut."""
     mapping = dict(base)
     for search in searches:
         if drop is None:
             sol = next(search.solutions(), None)
         else:
-            mark = len(search.trail)
+            mark, search.cut = len(search.trail), False
             sol = next(search.solutions(), None) if search.drop(drop) else None
             search.undo(mark)
+            if sol is not None and search.cut:
+                pins, search.pins = search.pins, [-1] * len(search.vars)
+                search.drop(drop)
+                sol = next(search.solutions())
+                search.undo(mark)
+                search.pins = pins
         if sol is None:
             return None
         mapping.update(sol)
@@ -827,9 +849,15 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     non-removable. A fixpoint admits no proper retraction at all (a
     retraction would miss some atom, making that atom removable), so the
     fixpoint is the core. The homomorphism for an atom is the one
-    find_hom(current, free, current − atom, free) returns. With one
-    component of unanchored variables, its search pins the variables of
-    the atoms shown non-removable (see the module docstring).
+    find_hom(current, free, current − atom, free) returns.
+
+    Each group's search pins every variable of the atoms shown
+    non-removable to its own value, so a drop test ends once one has lost
+    it. Some idempotent power of any homomorphism current → current − a
+    is a retraction that keeps every such atom and so meets the pins: the
+    verdict stays. A test that succeeds after a pin cut a branch is run
+    again unpinned, so the homomorphism stays too (see the module
+    docstring).
 
     An atom whose terms are all free variables or terms of atoms shown
     non-removable is fixed without a test: a retraction onto a core
@@ -842,11 +870,12 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     held = set(base)  # the free variables and the terms of atoms shown non-removable
     while not all(held.issuperset(a.args) for a in current.atoms):
         tgt = _Target(current)
-        searches = [_Search(g, base, tgt) for g in _groups(current.atoms, base)]
-        loose = [s for s in searches if s.vars]
-        pinned = loose[0] if len(loose) == 1 else None
-        if pinned is not None:
-            pinned.pin(held.difference(base))
+        groups = _groups(current.atoms, base)
+        searches = [_Search(g, base, tgt) for g in groups]
+        owner = {}
+        for g, search in zip(groups, searches):
+            search.pin(held)
+            owner.update(dict.fromkeys(g, search))
         for a in current.atoms:
             if held.issuperset(a.args):  # every retraction fixes a: no test
                 continue
@@ -855,8 +884,7 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
                 image = [Atom(b.relation, tuple(map(h.get, b.args))) for b in current.atoms]
                 current = ConjunctiveQuery(current.free_vars, tuple(image), q.name)
                 break
-            if pinned is not None:
-                pinned.pin(t for t in a.args if t not in held)
+            owner[a].pin(a.args)
             held.update(a.args)
     return current
 

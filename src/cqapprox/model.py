@@ -547,19 +547,33 @@ def gaifman(q: ConjunctiveQuery) -> GaifmanGraph:
 def _components(atoms, fixed) -> tuple[list[Atom], list[list[Atom]]]:
     """The atoms whose terms all lie in `fixed`, and the others grouped by
     Gaifman-connected component of their other terms, in the order of each
-    group's least such term. Atoms keep their order within a group."""
-    sets = _UnionFind()
-    for a in atoms:
-        free = [t for t in a.args if t not in fixed]
-        for u, w in zip(free, free[1:]):
-            sets.union(u, w)
-    groups: dict[Term | None, list[Atom]] = {}
-    for a in atoms:
-        free = [t for t in a.args if t not in fixed]
-        groups.setdefault(sets.find(free[0]) if free else None, []).append(a)
-    anchored = groups.pop(None, [])
+    group's least such term. Atoms keep their order within a group.
+
+    One walk: each atom not yet reached starts a group, which takes in
+    every atom sharing a term with an atom it holds, through an index
+    from each term to the atoms holding it."""
+    free = [[t for t in a.args if t not in fixed] for a in atoms]
+    holding: dict[Term, list[int]] = {}
+    for i, terms in enumerate(free):
+        for t in terms:
+            holding.setdefault(t, []).append(i)
+    reached = bytearray(len(free))
+    groups = []
+    for i, terms in enumerate(free):
+        if terms and not reached[i]:
+            reached[i] = 1
+            members = [i]
+            for j in members:  # grows as the walk reaches atoms
+                for t in free[j]:
+                    for m in holding.pop(t, ()):
+                        if not reached[m]:
+                            reached[m] = 1
+                            members.append(m)
+            members.sort()
+            groups.append([atoms[m] for m in members])
+    anchored = [a for a, terms in zip(atoms, free) if not terms]
     return anchored, sorted(
-        groups.values(), key=lambda g: min(t for a in g for t in a.args if t not in fixed)
+        groups, key=lambda g: min(t for a in g for t in a.args if t not in fixed)
     )
 
 

@@ -248,11 +248,32 @@ class _Game:
         return self.all_nonempty()
 
     def family(self) -> WinningFamily:
-        """The winning family, its members decoded on first read."""
+        """The winning family, its members decoded on first read. It keeps
+        the game, for `confine`."""
         family = WinningFamily.__new__(WinningFamily)
-        family.anchors, family.unions = dict(self.base), list(self.unions)
-        family._coded = (self.base, self.target.values, self.vlists, self.members)
+        family.anchors, family.unions, family._game = dict(self.base), list(self.unions), self
+        family._coded = (self.base, self.target.values, self.vlists, list(self.members))
         return family
+
+    def confine(self, allowed) -> bool:
+        """Settle the won game again with every answer's values confined
+        to the target ids that `allowed` flags: is it still won?
+
+        The verdict is that of a fresh game into the target's facts whose
+        ids are all allowed, when every answer inside them is an answer
+        into them (as for a union of components: `approx._equivalent_part`).
+        That game's greatest fixpoint is a winning family into the whole
+        target too, so it lies below the members kept; settling from any
+        family between a greatest fixpoint and the answers reaches it.
+        Members left are cut in place of being listed again, and the
+        unions cut are stamped past every check, so only their neighbours
+        are checked again.
+        """
+        for i, ms in enumerate(self.members):
+            keep = [m for m in ms if all(map(allowed.__getitem__, m))]
+            if len(keep) != len(ms):
+                self.members[i], self.stamp[i] = keep, self.clock
+        return self.run()
 
 
 def wins_cover_game(

@@ -16,6 +16,7 @@ from cqapprox.model import (
     Database,
     PreconditionUnknownError,
     Var,
+    _components,
     canonical_database,
     disjoint_conjunction,
     gaifman,
@@ -454,18 +455,65 @@ def test_exists_retracts_a_one_component_unrolling_whole(monkeypatch):
 
 
 def test_exists_part_falls_back_to_the_whole_unrolling_when_its_game_is_lost():
-    # a family whose answer points at the path component, into which
-    # the 2-cycle's game is lost: the part is refused, q_c comes back
-    q = parse_query("q() :- E(x,y), E(y,x).")
-    qc = parse_query("q() :- E(a,b), E(c,d), E(d,c).")
-    x, y, a, b, c, d = (Var(n) for n in "xyabcd")
-    unions = pebble.k_unions(q, 1)
-    family = WinningFamily({}, unions, [[{x: a, y: b}, {x: c, y: d}]])
-    assert approx._equivalent_part(q, qc, family, 1) is qc
-    right = WinningFamily({}, unions, [[{x: c, y: d}]])
-    assert approx._equivalent_part(q, qc, right, 1) == parse_query(
-        "q() :- E(c,d), E(d,c)."
-    )
+    # answers of the path E(x,y), E(y,z) that point at the lone edge: the
+    # part picked is that edge, into which the game is lost once settled,
+    # so q_c comes back. The settled game points at the 2-path, accepted.
+    q = parse_query("q() :- E(x,y), E(y,z).")
+    qc = parse_query("q() :- E(a,b), E(c,d), E(d,e).")
+    game = pebble._Game(q, (), qc, (), 1)
+    a, b, c, d, e = (game.target.eid[Var(n)] for n in "abcde")
+    assert game.vlists == [[Var("x"), Var("y")], [Var("y"), Var("z")]]
+    game.members = [[(a, b), (c, d)], [(a, b), (d, e)]]
+    assert approx._equivalent_part(qc, game) is qc
+    won, family = pebble.wins_cover_game(q, (), qc, (), 1)
+    assert won
+    assert approx._equivalent_part(qc, family._game) == parse_query("q() :- E(c,d), E(d,e).")
+
+
+def _part_cases():
+    """(query, k): random queries with free variables, and disjoint
+    conjunctions of two, at widths 1 and 2."""
+    rng = random.Random(43)
+    for _ in range(150):
+        q = rand_cq(rng, max_atoms=rng.randint(2, 4), max_vars=rng.randint(2, 4), n_free=rng.randint(0, 2))
+        if not q.free_vars and rng.random() < 0.5:
+            q = disjoint_conjunction(q, rand_cq(rng, max_atoms=2, max_vars=3))
+        yield q, rng.randint(1, 2)
+
+
+def test_exists_part_is_confirmed_inside_the_game_as_a_fresh_game_would():
+    # the won game into q_c, confined to a part smaller than q_c (the one
+    # `_equivalent_part` picks, or one component with the fully anchored
+    # atoms), is won iff a fresh game into that part is
+    verdicts = []
+    for q, k in _part_cases():
+        tree = pebble._Tree(q, k, pruned=True)
+        for _ in range(2):
+            tree.grow()
+            qc = tree.query()
+            won, family = pebble.wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)
+            if won:
+                break
+        else:
+            continue
+        anchored, held = _components(qc.atoms, set(q.free_vars))
+        parts = [anchored + g for g in held] if len(held) > 1 else []
+        picked = approx._equivalent_part(qc, family._game)
+        if picked is not qc:
+            parts.append(list(picked.atoms))
+            verdicts.append((k, "picked"))
+        for atoms in parts:
+            game = pebble.wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)[1]._game
+            eid = game.target.eid
+            allowed = bytearray(len(eid))
+            for t in {t for a in atoms for t in a.args}:
+                allowed[eid[t]] = 1
+            part = ConjunctiveQuery(qc.free_vars, tuple(atoms), qc.name)
+            fresh = pebble.wins_cover_game(q, q.free_vars, part, part.free_vars, k)[0]
+            assert game.confine(allowed) == fresh, (q, k, part)
+            verdicts.append((k, fresh))
+    assert {(1, True), (1, False), (2, True), (2, False)} <= set(verdicts)
+    assert verdicts.count((1, "picked")) >= 20 and verdicts.count((2, "picked")) >= 20
 
 
 def test_exists_witness_of_gen_qn_2_is_named_after_its_variables():

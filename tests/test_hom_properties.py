@@ -16,8 +16,9 @@
   cut to a fixpoint find it: the same domains, the same live facts per
   atom and every support count;
 - `satisfies` agrees with the brute-force trigger check;
-- `_Search` pinned with the variables of the atoms a query cannot lose
-  lists every endomorphism of its one component, also after a drop;
+- `_Search` pinned, in every group, with the variables of the atoms a
+  query cannot lose lists exactly the solutions that fix them, after any
+  drop; the drop tests keep their verdicts, and `core` its result;
 - `core` is idempotent, equivalent to its input, and as small as the
   brute-force core;
 - a complete `chase_tgds` result satisfies its tgds, and the chase is
@@ -37,6 +38,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from cqapprox.constraints import Egd, Tgd, chase_tgds, satisfies  # noqa: E402
 from cqapprox.hom import (  # noqa: E402
     _full_reducer,
+    _groups,
     _Search,
     _Target,
     core,
@@ -49,7 +51,6 @@ from cqapprox.model import (  # noqa: E402
     Const,
     Database,
     Var,
-    _components,
     canonical_database,
 )
 
@@ -351,29 +352,38 @@ def test_satisfies_matches_the_oracle(facts, deps):
 
 @DIFF
 @given(queries(VARS5, 7))
-def test_pins_keep_every_endomorphism_of_one_component(q):
-    # cut to its anchored atoms and one component, q has one search, and
-    # every endomorphism's image holds each atom q cannot lose: pinned with
-    # their variables, the search lists the same solutions
+def test_pins_keep_exactly_the_solutions_that_fix_them(q):
+    # every group's search pinned with the variables of the atoms q cannot
+    # lose lists the unpinned solutions that fix them, in the same order,
+    # after any drop; the drop tests keep their verdicts; undo restores the
+    # state; and core comes out as it does with no pins at all
     base = {v: v for v in q.free_vars}
-    anchored, groups = _components(q.atoms, base)
-    if not groups:
-        return
-    body = anchored + groups[0]
-    terms = {t for a in body for t in a.args}
-    q = ConjunctiveQuery(tuple(v for v in q.free_vars if v in terms), tuple(body))
     free = q.free_vars
-    base = {v: v for v in free}
     kept = [b for b in q.atoms if not brute_homs(q, free, q.without_atom(b), free)]
-    plain, pinned = (_Search(groups[0], base, _Target(q)) for _ in range(2))
-    pinned.pin(t for b in kept for t in b.args if t not in base)
+    pinned_terms = {t for b in kept for t in b.args}
+    groups = _groups(q.atoms, base)
+    plain, pinned = ([_Search(g, base, _Target(q)) for g in groups] for _ in range(2))
+    for search in pinned:
+        search.pin(pinned_terms)
     for a in [None, *q.atoms]:
-        listed = []
-        for search in (plain, pinned):
-            mark = len(search.trail)
-            listed.append(list(search.solutions()) if a is None or search.drop(a) else [])
-            search.undo(mark)
-        assert listed[0] == listed[1], a
+        found = []
+        for searches in (plain, pinned):
+            found.append([])
+            for search in searches:
+                mark = len(search.trail)
+                state = (list(map(bytes, search.dom)), list(search.size), list(search.pins))
+                listed = list(search.solutions()) if a is None or search.drop(a) else []
+                search.undo(mark)
+                assert (list(map(bytes, search.dom)), list(search.size), list(search.pins)) == state
+                found[-1].append(listed)
+        for every, fixing in zip(*found):
+            assert fixing == [h for h in every if all(h[t] == t for t in pinned_terms & h.keys())]
+        if a is not None:
+            assert all(found[0]) == all(found[1]), a
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Search, "pin", lambda self, terms: None)
+        want = core(q)
+    assert core(q) == want
 
 
 @DIFF

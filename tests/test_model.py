@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cqapprox.constraints import parse_dependencies
+from cqapprox.gen import gen_qn_prime
 from cqapprox.hom import evaluate, find_hom
 from cqapprox.model import (
     ArityError,
@@ -469,6 +470,51 @@ def test_components_set_fully_anchored_atoms_apart():
     anchored, groups = _components(q.atoms, {x, y})
     assert anchored == [Atom("E", (x, y)), Atom("F", (x,))]
     assert groups == [[Atom("E", (u, w)), Atom("E", (x, u))], [Atom("E", (y, v))]]
+
+
+def _union_find_components(atoms, fixed):
+    """`_components` as it was kept before the one-walk split: union-find
+    over each atom's unanchored terms, the groups sorted by least such
+    term."""
+    parent = {}
+
+    def find(t):
+        while parent.setdefault(t, t) != t:
+            t = parent[t]
+        return t
+
+    for a in atoms:
+        free = [t for t in a.args if t not in fixed]
+        for u, w in zip(free, free[1:]):
+            if find(u) != find(w):
+                parent[find(u)] = find(w)
+    groups = {}
+    for a in atoms:
+        free = [t for t in a.args if t not in fixed]
+        groups.setdefault(find(free[0]) if free else None, []).append(a)
+    anchored = groups.pop(None, [])
+    return anchored, sorted(
+        groups.values(), key=lambda g: min(t for a in g for t in a.args if t not in fixed)
+    )
+
+
+def test_components_split_in_one_walk_as_union_find_does():
+    # free variables fixed, fully anchored atoms, repeated terms and
+    # several components: the same anchored atoms, groups and order
+    cases = [gen_qn_prime(n) for n in range(1, 7)]
+    cases.append(parse_query("q(x,y) :- E(x,y), E(x,u), E(u,u), E(y,v), F(x), E(w,w)."))
+    rng = random.Random(41)
+    for _ in range(300):
+        q = rand_cq(rng, max_atoms=rng.randint(1, 9), max_vars=rng.randint(2, 7), n_free=rng.randint(0, 3))
+        parts = [q, rand_cq(rng, max_atoms=3, max_vars=3)]
+        cases.append(disjoint_conjunction(*parts) if not q.free_vars else q)
+    shapes = set()
+    for q in cases:
+        fixed = set(q.free_vars)
+        got = _components(q.atoms, fixed)
+        assert got == _union_find_components(q.atoms, fixed), q
+        shapes.add((bool(got[0]), min(len(got[1]), 3)))
+    assert {(True, 1), (True, 2), (False, 3)} <= shapes
 
 
 def test_connected_components_requires_boolean():
