@@ -870,12 +870,9 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
     held = set(base)  # the free variables and the terms of atoms shown non-removable
     while not all(held.issuperset(a.args) for a in current.atoms):
         tgt = _Target(current)
-        groups = _groups(current.atoms, base)
-        searches = [_Search(g, base, tgt) for g in groups]
-        owner = {}
-        for g, search in zip(groups, searches):
+        searches = [_Search(g, base, tgt) for g in _groups(current.atoms, base)]
+        for search in searches:
             search.pin(held)
-            owner.update(dict.fromkeys(g, search))
         for a in current.atoms:
             if held.issuperset(a.args):  # every retraction fixes a: no test
                 continue
@@ -884,7 +881,8 @@ def core(q: ConjunctiveQuery) -> ConjunctiveQuery:
                 image = [Atom(b.relation, tuple(map(h.get, b.args))) for b in current.atoms]
                 current = ConjunctiveQuery(current.free_vars, tuple(image), q.name)
                 break
-            owner[a].pin(a.args)
+            for search in searches:
+                search.pin(a.args)
             held.update(a.args)
     return current
 

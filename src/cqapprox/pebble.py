@@ -252,7 +252,7 @@ class _Game:
         the game, for `confine`."""
         family = WinningFamily.__new__(WinningFamily)
         family.anchors, family.unions, family._game = dict(self.base), list(self.unions), self
-        family._coded = (self.base, self.target.values, self.vlists, list(self.members))
+        family._coded = (self.base, self.target.values, self.vlists, self.members)
         return family
 
     def confine(self, allowed) -> bool:
@@ -269,10 +269,11 @@ class _Game:
         unions cut are stamped past every check, so only their neighbours
         are checked again.
         """
-        for i, ms in enumerate(self.members):
+        self.members = members = list(self.members)  # the family keeps the won members
+        for i, ms in enumerate(members):
             keep = [m for m in ms if all(map(allowed.__getitem__, m))]
             if len(keep) != len(ms):
-                self.members[i], self.stamp[i] = keep, self.clock
+                members[i], self.stamp[i] = keep, self.clock
         return self.run()
 
 

@@ -455,19 +455,20 @@ def test_exists_retracts_a_one_component_unrolling_whole(monkeypatch):
 
 
 def test_exists_part_falls_back_to_the_whole_unrolling_when_its_game_is_lost():
-    # answers of the path E(x,y), E(y,z) that point at the lone edge: the
-    # part picked is that edge, into which the game is lost once settled,
-    # so q_c comes back. The settled game points at the 2-path, accepted.
+    # the settled game of the path E(x,y), E(y,z) points at the 2-path,
+    # which is accepted. Given answers that point at the lone edge, with
+    # every check done, the part picked is that edge: the unions cut are
+    # checked again, the game into it is lost, and q_c comes back.
     q = parse_query("q() :- E(x,y), E(y,z).")
     qc = parse_query("q() :- E(a,b), E(c,d), E(d,e).")
-    game = pebble._Game(q, (), qc, (), 1)
+    won, family = pebble.wins_cover_game(q, (), qc, (), 1)
+    assert won
+    assert approx._equivalent_part(qc, family._game) == parse_query("q() :- E(c,d), E(d,e).")
+    game = pebble.wins_cover_game(q, (), qc, (), 1)[1]._game
     a, b, c, d, e = (game.target.eid[Var(n)] for n in "abcde")
     assert game.vlists == [[Var("x"), Var("y")], [Var("y"), Var("z")]]
     game.members = [[(a, b), (c, d)], [(a, b), (d, e)]]
     assert approx._equivalent_part(qc, game) is qc
-    won, family = pebble.wins_cover_game(q, (), qc, (), 1)
-    assert won
-    assert approx._equivalent_part(qc, family._game) == parse_query("q() :- E(c,d), E(d,e).")
 
 
 def _part_cases():
