@@ -265,7 +265,7 @@ class _Game:
         That game's greatest fixpoint is a winning family into the whole
         target too, so it lies below the members kept; settling from any
         family between a greatest fixpoint and the answers reaches it.
-        Members left are cut in place of being listed again, and the
+        No answer is listed again: the won members are cut, and the
         unions cut are stamped past every check, so only their neighbours
         are checked again.
         """
