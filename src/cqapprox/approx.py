@@ -23,7 +23,6 @@ from cqapprox.model import (
     PreconditionUnknownError,
     Term,
     Var,
-    _components,
     _fresh,
     connected_components,
     disjoint_conjunction,
@@ -213,15 +212,11 @@ def exists_overapprox(
     would emit (`_Tree.size`, as `unroll_size` reports it), so the pruned
     search stops where the complete one did and never runs longer.
 
-    Only part of q_c is retracted (`_equivalent_part`): a union P of
-    connected components of q_c, fully anchored atoms included, that q's
-    game still wins into. P is equivalent to O. It lies in GHW(k), since
-    widths count only existential variables and every bag of q_c, cut to
-    P, is covered by the atoms of P that covered it. It contains q, since
-    P ⊆ q_c and q_c maps onto q. And O maps into P, since the game into
-    P is won. So core(P) ≅ core(q_c). That game is not played afresh: the
-    game into q_c, just won, is confined to P and settled again
-    (`_Game.confine`), with the verdict a fresh game would give.
+    Only part of q_c is retracted: the image S of a closed choice of
+    members of the won game (`_Game.image`). S is a set of q_c's atoms
+    that q's game wins into, so Duplicator wins every c rounds into S and
+    q_c → S (unrolling characterisation); S ⊆ q_c gives S → q_c. So
+    S ≡ q_c and core(S) ≅ core(q_c), and no game into S is played.
 
     The witness is named after q (`_named_after`): the copy of a
     variable nearest the tree's root keeps the variable itself, later
@@ -241,56 +236,11 @@ def exists_overapprox(
             return None
         tree.grow()
         qc = tree.query()
-        won, family = wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)
-        if won:
-            origin, tree = tree.origin, None  # retracting needs no other growth state
-            part = _equivalent_part(qc, family._game)
-            return _named_after(q, core(part), origin)
+        game = _Game(q, q.free_vars, qc, qc.free_vars, k)
+        if game.run():
+            image = ConjunctiveQuery(qc.free_vars, tuple(game.image()), qc.name)
+            return _named_after(q, core(image), tree.origin)
     return None
-
-
-def _equivalent_part(qc: ConjunctiveQuery, game: _Game) -> ConjunctiveQuery:
-    """A union of q_c's connected components that q's k-cover game wins
-    into, or q_c itself. `game` is that game into q_c, won and settled.
-
-    The components are those of `model._components` with the free
-    variables fixed, and fully anchored atoms always stay. Going through
-    the unions of the game, a union with no answer inside the components
-    picked so far adds the components of the answer that adds the fewest
-    atoms. A part P smaller than q_c is returned only if the game, confined
-    to P, is still won, so the choice affects speed, never the result.
-
-    The confinement keeps each union's answers whose values are all terms
-    of P, and settles from there. It is exact. An answer into q_c whose
-    values lie in P maps its atoms to atoms of P, for an atom of q_c
-    with a term of a component lies in that component and the others are
-    fully anchored; so the answers kept are answers into P. The greatest
-    fixpoint into P is a winning family into q_c as well, so it lies
-    below the settled game, and below what the confinement keeps; and
-    settling from a superset of a greatest fixpoint reaches it. No second
-    `_Target`, k-union listing or join is made.
-    """
-    base = game.base
-    anchored, held = _components(qc.atoms, base)
-    if len(held) < 2:
-        return qc
-    eid = game.target.eid
-    comp_of = {eid[t]: i for i, atoms in enumerate(held) for a in atoms for t in a.args if t not in base}
-    picked: set[int] = set()
-    for members in game.members:
-        spans = dict.fromkeys(frozenset(comp_of[d] for d in m if d in comp_of) for m in members)
-        if not any(s <= picked for s in spans):
-            picked |= min(spans, key=lambda s: sum(len(held[i]) for i in s - picked))
-    if len(picked) == len(held):
-        return qc
-    kept = anchored + [a for i in picked for a in held[i]]
-    allowed = bytearray(len(eid))
-    for a in kept:
-        for t in a.args:
-            allowed[eid[t]] = 1
-    if game.confine(allowed):
-        return ConjunctiveQuery(qc.free_vars, tuple(kept), qc.name)
-    return qc
 
 
 def _named_after(

@@ -573,13 +573,12 @@ class _Search:
                     return False
         return self._propagate(queue, None)
 
-    def undo(self, mark) -> set[int]:
-        """Pop the trail back to `mark`; returns the variables restored."""
+    def undo(self, mark) -> None:
+        """Pop the trail back to `mark`."""
         trail, dom, size = self.trail, self.dom, self.size
         alive, counts, sig = self.alive, self.counts, self.sig
         abits, vbits = self.abits, self.vbits
         amask, vmask = (1 << abits) - 1, (1 << vbits) - 1
-        restored = set()
         entries = trail[mark:]
         del trail[mark:]
         for e in reversed(entries):
@@ -588,13 +587,11 @@ class _Search:
                 v, d = e & vmask, e >> vbits
                 dom[v][d] = 1
                 size[v] += 1
-                restored.add(v)
             else:
                 i, r = e & amask, e >> abits
                 alive[i][r] = 1
                 for cnt, val in zip(counts[i], sig[i].rows[r]):
                     cnt[val] += 1
-        return restored
 
     def solutions(self):
         """Yield every total assignment, in canonical order.
@@ -607,7 +604,7 @@ class _Search:
             yield dict(self.base)
             return
         dom, size, trail = self.dom, self.size, self.trail
-        n = len(self.vars)
+        n, vmask = len(self.vars), (1 << self.vbits) - 1
         ids = range(len(self.values))
         assigned = bytearray(n)
         chosen = [0] * n
@@ -630,7 +627,10 @@ class _Search:
         open_frame()
         while frames:
             v, vals, mark = frames[-1]
-            for u in self.undo(mark):  # clear the previous attempt
+            # clear the previous attempt, requeueing the variables it restores
+            restored = {~e & vmask for e in trail[mark:] if e < 0}
+            self.undo(mark)
+            for u in restored:
                 heapq.heappush(heap, (size[u], u))
             assigned[v] = 0
             if not vals:

@@ -102,7 +102,8 @@ class _Game:
     order, `family()` adds the anchors and decodes them into exactly the
     dicts, in exactly the order, that a solver over `Term` values would
     keep. Unions of one join shape share one members list, so no list is
-    changed in place.
+    changed in place. `held` keeps the source's fully anchored atoms and
+    `contained[i]` the other atoms inside union i, for `image()`.
 
     `pairs[i]` is union i's row in the overlap graph: one `(j, pi, pj)`
     per union j sharing an unanchored variable with i, `pi` and `pj`
@@ -122,7 +123,8 @@ class _Game:
         if self.base is None:
             return
         self.target = target = _Target(tgt)
-        held, loose = [], []  # the fully anchored atoms, the others
+        self.held = held = []  # the fully anchored atoms
+        loose = []
         for a in _atoms_of(src):
             (held if self.base.keys() >= {*a.args} else loose).append(a)
         self.anchors_ok = not held or next(target.join(held, self.base, ()), None) is not None
@@ -130,7 +132,7 @@ class _Game:
             return
         self.unions = k_unions(src, k)
         self.vlists = [sorted(u.vars.difference(self.base)) for u in self.unions]
-        contained = _node_atoms(loose, self.unions, self.base)
+        self.contained = contained = _node_atoms(loose, self.unions, self.base)
         shapes: dict[tuple, tuple | list] = {}
         self.members = [
             self._enumerate(*union, shapes) for union in zip(self.unions, self.vlists, contained)
@@ -248,33 +250,55 @@ class _Game:
         return self.all_nonempty()
 
     def family(self) -> WinningFamily:
-        """The winning family, its members decoded on first read. It keeps
-        the game, for `confine`."""
+        """The winning family, its members decoded on first read."""
         family = WinningFamily.__new__(WinningFamily)
-        family.anchors, family.unions, family._game = dict(self.base), list(self.unions), self
+        family.anchors, family.unions = dict(self.base), list(self.unions)
         family._coded = (self.base, self.target.values, self.vlists, self.members)
         return family
 
-    def confine(self, allowed) -> bool:
-        """Settle the won game again with every answer's values confined
-        to the target ids that `allowed` flags: is it still won?
+    def image(self) -> list[Atom]:
+        """Target atoms that the won, settled game also wins into: the
+        fully anchored atoms under the anchors, and the image of each
+        union's contained atoms under each of its chosen members.
 
-        The verdict is that of a fresh game into the target's facts whose
-        ids are all allowed, when every answer inside them is an answer
-        into them (as for a union of components: `approx._equivalent_part`).
-        That game's greatest fixpoint is a winning family into the whole
-        target too, so it lies below the members kept; settling from any
-        family between a greatest fixpoint and the answers reaches it.
-        No answer is listed again: the won members are cut, and the
-        unions cut are stamped past every check, so only their neighbours
-        are checked again.
-        """
-        self.members = members = list(self.members)  # the family keeps the won members
-        for i, ms in enumerate(members):
-            keep = [m for m in ms if all(map(allowed.__getitem__, m))]
-            if len(keep) != len(ms):
-                members[i], self.stamp[i] = keep, self.clock
-        return self.run()
+        Each union with no chosen member yet gets its first. Each chosen
+        member then gets a partner in every union it overlaps (`pairs`):
+        the first member there that agrees on the shared variables, unless
+        a chosen one already does. A partner exists, as the family is a
+        fixpoint. The chosen members are a winning family into the image:
+        each maps its union's atoms into it and has a partner in every
+        union it overlaps."""
+        pairs, members, base, values = self.pairs, self.members, self.base, self.target.values
+        atoms = [Atom(a.relation, tuple(map(base.__getitem__, a.args))) for a in self.held]
+        chosen = bytearray(len(members))  # whether a union has a chosen member
+        # agree[j][i]: the chosen members of j on the variables j shares with i;
+        # firsts[j, i]: per such values, the first member of j that has them
+        agree = [{i: set() for i, _, _ in row} for row in pairs]
+        firsts: dict[tuple[int, int], dict] = {}
+        todo: list[tuple[int, tuple]] = []
+
+        def choose(j, m):
+            h = base | dict(zip(self.vlists[j], map(values.__getitem__, m)))
+            for a in self.contained[j]:
+                atoms.append(Atom(a.relation, tuple(map(h.__getitem__, a.args))))
+            chosen[j] = 1
+            for i, pj, _ in pairs[j]:
+                agree[j][i].add(itemgetter(*pj)(m))
+            todo.append((j, m))
+
+        for u, ms in enumerate(members):
+            if not chosen[u]:
+                choose(u, ms[0])
+            while todo:
+                i, m = todo.pop()
+                for j, pi, pj in pairs[i]:
+                    shared = itemgetter(*pi)(m)
+                    if shared not in agree[j][i]:
+                        if (j, i) not in firsts:
+                            get = itemgetter(*pj)
+                            firsts[j, i] = {get(p): p for p in reversed(members[j])}
+                        choose(j, firsts[j, i][shared])
+        return atoms
 
 
 def wins_cover_game(

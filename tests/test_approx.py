@@ -16,7 +16,6 @@ from cqapprox.model import (
     Database,
     PreconditionUnknownError,
     Var,
-    _components,
     canonical_database,
     disjoint_conjunction,
     gaifman,
@@ -421,13 +420,14 @@ def _core_sizes(monkeypatch):
 
 
 def test_exists_retracts_only_the_part_the_game_confirms(monkeypatch):
-    # the pruned q_3 of gen_qn(3) has 150 atoms in 5 components, and the
-    # pruned q_4 of gen_qn(4) 1,098 atoms in 7
+    # the pruned q_3, q_4 and q_5 of gen_qn(3..5) have 150, 1,098 and
+    # 7,430 atoms; the image the won game gives `core` is already the
+    # core's size, 2(2^n - 1)
     sizes = _core_sizes(monkeypatch)
-    for n in (3, 4):
-        got = approx.exists_overapprox(gen_qn(n), 1)
+    for n, budget in ((3, 50_000), (4, 50_000), (5, None)):
+        got = approx.exists_overapprox(gen_qn(n), 1, budget=budget)
         assert equivalent(got, gen_qn_prime(n))
-    assert sizes == [22, 86]
+    assert sizes == [14, 30, 62]
 
 
 def test_exists_names_each_copy_once(monkeypatch):
@@ -454,23 +454,6 @@ def test_exists_retracts_a_one_component_unrolling_whole(monkeypatch):
     assert sizes == [len(qc.atoms)] == [2]
 
 
-def test_exists_part_falls_back_to_the_whole_unrolling_when_its_game_is_lost():
-    # the settled game of the path E(x,y), E(y,z) points at the 2-path,
-    # which is accepted. Given answers that point at the lone edge, with
-    # every check done, the part picked is that edge: the unions cut are
-    # checked again, the game into it is lost, and q_c comes back.
-    q = parse_query("q() :- E(x,y), E(y,z).")
-    qc = parse_query("q() :- E(a,b), E(c,d), E(d,e).")
-    won, family = pebble.wins_cover_game(q, (), qc, (), 1)
-    assert won
-    assert approx._equivalent_part(qc, family._game) == parse_query("q() :- E(c,d), E(d,e).")
-    game = pebble.wins_cover_game(q, (), qc, (), 1)[1]._game
-    a, b, c, d, e = (game.target.eid[Var(n)] for n in "abcde")
-    assert game.vlists == [[Var("x"), Var("y")], [Var("y"), Var("z")]]
-    game.members = [[(a, b), (c, d)], [(a, b), (d, e)]]
-    assert approx._equivalent_part(qc, game) is qc
-
-
 def _part_cases():
     """(query, k): random queries with free variables, and disjoint
     conjunctions of two, at widths 1 and 2."""
@@ -482,39 +465,29 @@ def _part_cases():
         yield q, rng.randint(1, 2)
 
 
-def test_exists_part_is_confirmed_inside_the_game_as_a_fresh_game_would():
-    # the won game into q_c, confined to a part smaller than q_c (the one
-    # `_equivalent_part` picks, or one component with the fully anchored
-    # atoms), is won iff a fresh game into that part is
-    verdicts = []
-    for q, k in _part_cases():
+def test_exists_image_is_a_part_of_the_unrolling_the_game_wins_into():
+    # the image of a won game into q_c is made of q_c's atoms, a fresh
+    # game into it is won, and it is equivalent to q_c
+    cases = [*_part_cases()] + [(gen_qn(n), 1) for n in range(1, 5)]
+    cases += [(gen_qn(n), 2) for n in range(1, 4)]
+    won_at = []
+    for q, k in cases:
         tree = pebble._Tree(q, k, pruned=True)
-        for _ in range(2):
+        for c in range(1, 4):
             tree.grow()
             qc = tree.query()
-            won, family = pebble.wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)
-            if won:
+            game = pebble._Game(q, q.free_vars, qc, qc.free_vars, k)
+            if game.run():
                 break
         else:
             continue
-        anchored, held = _components(qc.atoms, set(q.free_vars))
-        parts = [anchored + g for g in held] if len(held) > 1 else []
-        picked = approx._equivalent_part(qc, family._game)
-        if picked is not qc:
-            parts.append(list(picked.atoms))
-            verdicts.append((k, "picked"))
-        for atoms in parts:
-            game = pebble.wins_cover_game(q, q.free_vars, qc, qc.free_vars, k)[1]._game
-            eid = game.target.eid
-            allowed = bytearray(len(eid))
-            for t in {t for a in atoms for t in a.args}:
-                allowed[eid[t]] = 1
-            part = ConjunctiveQuery(qc.free_vars, tuple(atoms), qc.name)
-            fresh = pebble.wins_cover_game(q, q.free_vars, part, part.free_vars, k)[0]
-            assert game.confine(allowed) == fresh, (q, k, part)
-            verdicts.append((k, fresh))
-    assert {(1, True), (1, False), (2, True), (2, False)} <= set(verdicts)
-    assert verdicts.count((1, "picked")) >= 20 and verdicts.count((2, "picked")) >= 20
+        image = ConjunctiveQuery(qc.free_vars, tuple(game.image()), qc.name)
+        assert set(image.atoms) <= set(qc.atoms), (q, k)
+        assert pebble.wins_cover_game(q, q.free_vars, image, image.free_vars, k)[0], (q, k)
+        assert contains(image, qc) and contains(qc, image), (q, k)
+        won_at.append((k, c, len(image.atoms) < len(qc.atoms)))
+    assert {(1, 1, True), (1, 2, True), (2, 1, True), (2, 2, True)} <= set(won_at)
+    assert sum(smaller for _, _, smaller in won_at) >= 60
 
 
 def test_exists_witness_of_gen_qn_2_is_named_after_its_variables():
