@@ -465,9 +465,9 @@ def _part_cases():
         yield q, rng.randint(1, 2)
 
 
-def test_exists_image_is_a_part_of_the_unrolling_the_game_wins_into():
-    # the image of a won game into q_c is made of q_c's atoms, a fresh
-    # game into it is won, and it is equivalent to q_c
+def test_exists_part_is_confirmed_inside_the_game_as_a_fresh_game_would():
+    # the part that the won game into q_c picks, its image, is made of
+    # q_c's atoms, a fresh game into it is won, and it is equivalent to q_c
     cases = [*_part_cases()] + [(gen_qn(n), 1) for n in range(1, 5)]
     cases += [(gen_qn(n), 2) for n in range(1, 4)]
     won_at = []
@@ -488,6 +488,41 @@ def test_exists_image_is_a_part_of_the_unrolling_the_game_wins_into():
         won_at.append((k, c, len(image.atoms) < len(qc.atoms)))
     assert {(1, 1, True), (1, 2, True), (2, 1, True), (2, 2, True)} <= set(won_at)
     assert sum(smaller for _, _, smaller in won_at) >= 60
+
+
+def test_exists_part_falls_back_to_the_whole_unrolling_when_its_game_is_lost():
+    # an atom of q_c whose removal loses the game is in the image, so when
+    # every smaller part's game is lost the image is all of q_c. The path
+    # E(x,y), E(y,z) wins into the 2-path of q_c and not into either edge.
+    q = parse_query("q() :- E(x,y), E(y,z).")
+    qc = parse_query("q() :- E(a,b), E(c,d), E(d,e).")
+    path = parse_query("q() :- E(c,d), E(d,e).")
+    for target in (qc, path):
+        game = pebble._Game(q, (), target, (), 1)
+        assert game.run()
+        assert set(game.image()) == set(path.atoms)
+    whole_at = []
+    for q, k in _part_cases():
+        tree = pebble._Tree(q, k, pruned=True)
+        tree.grow()
+        qc = tree.query()
+        game = pebble._Game(q, q.free_vars, qc, qc.free_vars, k)
+        if len(qc.atoms) > 24 or not game.run():
+            continue
+        image = set(game.image())
+        lost = []
+        for a in qc.atoms:
+            rest = tuple(b for b in qc.atoms if b != a)
+            if set(qc.free_vars) <= {t for b in rest for t in b.args}:
+                part = ConjunctiveQuery(qc.free_vars, rest, qc.name)
+                if pebble.wins_cover_game(q, q.free_vars, part, part.free_vars, k)[0]:
+                    continue
+            assert a in image, (q, k, a)
+            lost.append(a)
+        if len(lost) == len(qc.atoms):
+            assert image == set(qc.atoms), (q, k)
+            whole_at.append(k)
+    assert whole_at.count(1) >= 20 and whole_at.count(2) >= 20
 
 
 def test_exists_witness_of_gen_qn_2_is_named_after_its_variables():
