@@ -91,9 +91,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CqError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CqError(f"cannot read {path}: not UTF-8 at byte offset {exc.start}") from exc
 
 
 def _load_query(path: str) -> ConjunctiveQuery:

@@ -11,6 +11,7 @@ equality, hashing and serialization are deterministic.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import NamedTuple
@@ -254,13 +255,13 @@ _SKIP_RE = re.compile(r"(?:\s+|#[^\n]*)*")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _VAR_RE = re.compile(r"[a-z_][A-Za-z0-9_]*\Z")
 _CONST_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-# Without comments and whitespace a fact file is a run of facts. The
-# catch-all takes all the rest where no fact starts: only the last match can
-# hold it, and no long name is rescanned from each of its characters.
 _COMMENT_RE = re.compile(r"#[^\n]*")
-# Two names apart; led by whitespace, so it skips the names' characters fast.
-_GLUED_RE = re.compile(r"\s(?<=[A-Za-z0-9_]\s)\s*[A-Za-z0-9_]")
-_FACT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\(([A-Za-z0-9_]+(?:,[A-Za-z0-9_]+)*)\)\.|(.+)", re.S)
+# Two names with whitespace, by now one '\n', between them.
+_GLUED_RE = re.compile(r"\n(?<=[A-Za-z0-9_]\n)[A-Za-z0-9_]")
+# Without comments and whitespace, a fact file is a run of facts. The
+# catch-all takes all the rest where no fact starts, so no long name is
+# rescanned from each of its characters.
+_FACT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\([A-Za-z0-9_]+(?:,[A-Za-z0-9_]+)*\)\.|.+", re.S)
 
 
 class _Tokens:
@@ -373,40 +374,56 @@ def parse_query(text: str) -> ConjunctiveQuery:
 def parse_database(text: str) -> Database:
     """Parse a facts file: one fact ``R(c1,...,ck).`` per line, # comments.
 
-    A few C-level passes accept a valid file and build the Database's
-    interned form from the names they read, making no `Atom`. A text
-    they reject, or an arity clash, goes to the token reader,
-    `_read_database`, to be explained."""
+    A few C-level passes, linear on a file in sorted order, accept a
+    valid file and build the Database's interned form from the names they
+    read, making no `Atom`. A text they reject, or an arity clash, goes
+    to the token reader, `_read_database`, to be explained."""
     bare = _COMMENT_RE.sub("", text) if "#" in text else text
-    if not _GLUED_RE.search(bare):  # else compaction would glue two names
-        found = _FACT_RE.findall("".join(bare.split()))
-        if not found or not found[-1][2]:
-            by_rel: dict[str, list[str]] = {}
-            for rel, args, _ in found:
-                by_rel.setdefault(rel, []).append(args)
-            del found  # to keep the peak low, each relation is deduplicated and split alone
-            # ',' sorts below every name character, so argument strings
-            # sort as their tuples of names, and so as their id rows
-            seen: set[str] = set()
-            for rel, strs in by_rel.items():
-                by_rel[rel] = strs = sorted(set(strs))
-                seen.update(",".join(strs).split(","))
-            names = sorted(seen)
-            nid = dict(zip(names, range(len(names)))).__getitem__
-            rels, arities = {}, {}
-            for rel in sorted(by_rel):
-                strs = by_rel.pop(rel)
-                commas = {args.count(",") for args in strs}
-                if len(commas) > 1:
-                    return _read_database(text)  # it points at the clashing fact
-                arities[rel] = n = commas.pop() + 1
-                rels[rel] = list(zip(*[map(nid, ",".join(strs).split(","))] * n))
-            values = [_new(Term, (CONSTANT, c)) for c in names]
-            db = object.__new__(Database)  # its facts are built when read
-            db.__dict__.update(_form=(values, dict(zip(values, range(len(values)))), rels, {}),
-                               arities=_SCHEMAS.setdefault(frozenset(arities.items()), arities))
-            return db
-    return _read_database(text)
+    bare = "\n".join(bare.split())  # each stretch of whitespace one '\n'
+    if _GLUED_RE.search(bare):  # compaction would glue two names
+        return _read_database(text)
+    bare = bare.replace("\n", "") + "\n"  # compacted, and an end mark
+    facts = _FACT_RE.findall(bare)
+    del bare
+    if facts.pop() != "\n":  # the catch-all took more than the end mark
+        return _read_database(text)
+    # '(' and ',' sort below every name character, so each relation's
+    # facts form one run, and in it facts sort as their tuples of names,
+    # and so as their id rows. On a file in order both steps are linear.
+    facts.sort()
+    facts = list(dict.fromkeys(facts))
+    runs: list[tuple[str, int, list[str]]] = []  # (relation, arity, its names), the last first
+    seen: set[str] = set()
+    while facts:  # the last run, which leaves the list before its names are cut out
+        rel, _, args = facts[-1].partition("(")
+        n = args.count(",") + 1
+        start = len(facts) - 1
+        if start and facts[start - 1].startswith(rel + "("):  # not a one-fact run
+            start = bisect_left(facts, rel + "(", 0, start)
+        m = len(facts) - start
+        run = "".join(facts[start:])
+        del facts[start:]
+        # the run's names, with ';' where a fact ends: every n + 1 places
+        # when all its facts have n names
+        flat = run[len(rel) + 1:-2].replace(f").{rel}(", ",;,").split(",")
+        if len(flat) != (n + 1) * m - 1 or flat[n::n + 1].count(";") != m - 1:
+            return _read_database(text)  # it points at the clashing fact
+        del flat[n::n + 1]
+        seen.update(flat)
+        runs.append((rel, n, flat))
+    names = sorted(seen)
+    del seen  # like the text, the facts and each run's names: dropped once read, for a lower peak
+    nid = dict(zip(names, range(len(names)))).__getitem__
+    rels, arities = {}, {}
+    while runs:
+        rel, n, flat = runs.pop()
+        arities[rel] = n
+        rels[rel] = list(zip(*[map(nid, flat)] * n))
+    values = [_new(Term, (CONSTANT, c)) for c in names]
+    db = object.__new__(Database)  # its facts are built when read
+    db.__dict__.update(_form=(values, dict(zip(values, range(len(values)))), rels, {}),
+                       arities=_SCHEMAS.setdefault(frozenset(arities.items()), arities))
+    return db
 
 
 def _read_database(text: str) -> Database:

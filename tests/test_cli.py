@@ -156,6 +156,16 @@ def test_missing_file_is_exit_3(capsys, files):
     assert code == 3 and "verdict: error" in out and "absent.cq" in err
 
 
+def test_a_file_that_is_not_utf8_is_exit_3(capsys, files, tmp_path):
+    bad = tmp_path / "latin1.facts"
+    bad.write_bytes("E(a,bé).\n".encode("latin-1"))
+    for argv in (["--query", str(bad), "--db", files["c2_db"]],
+                 ["--query", files["qx"], "--db", str(bad)]):
+        code, report, err = run_json(capsys, "eval-over", *argv, "--tuple", "a")
+        assert code == 3 and report["verdict"] == "error"
+        assert err == f"cqapprox: error: cannot read {bad}: not UTF-8 at byte offset 5\n"
+
+
 def test_malformed_query_is_exit_3(capsys, files):
     code, _, err = run(capsys, "core", "--query", files["c2_db"])
     assert code == 3 and err.startswith("cqapprox: error:")

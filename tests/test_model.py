@@ -6,9 +6,11 @@ import itertools
 import pickle
 import random
 import re
+import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cqapprox.constraints import parse_dependencies
 from cqapprox.gen import gen_qn_prime
@@ -189,25 +191,39 @@ SEPARATORS = [" ", "\t", "\n", "\r\n", "\x1c", "\xa0", "\x85", "\u2028", "\u3000
 MUTATION_CHARS = "(),.#=-> a1_"
 
 
-ARITY = {"E": 2, "R": 3, "P_1": 1}
+# Relation and constant names that extend one another, so that a name's
+# facts sort next to those of the names it starts.
+ARITY = {"E": 2, "E1": 1, "E_": 3, "R": 3, "P_1": 1}
+CONSTANTS = ["a", "a1", "a_", "b", "c1", "_", "0"]
 
 
 @st.composite
 def fact_texts(draw, valid=False):
     """A fact file from the grammar, with separators between all tokens,
-    then at most one character inserted, deleted or replaced, or two
-    names glued by turning a comma into a separator. A `valid` file uses
-    each relation at one arity, may repeat facts, and is left unchanged."""
+    its facts repeated now and then and in sorted or shuffled order; then
+    at most one character inserted, deleted or replaced, or two names
+    glued by turning a comma into a separator. A `valid` file uses each
+    relation at one arity and is left unchanged."""
     seps = SEPARATORS[:-2] * (1 if valid else 8) + ([] if valid else SEPARATORS[-2:])
     sep = st.lists(st.sampled_from(seps), max_size=2).map("".join)
-    parts = [draw(sep)]
+    facts = []
     for _ in range(draw(st.integers(0, 8 if valid else 4))):
-        rel = draw(st.sampled_from(["E", "R", "P_1"]))
+        rel = draw(st.sampled_from(sorted(ARITY)))
+        n = ARITY[rel] if valid else draw(st.integers(1, 3))
+        facts.append((rel, draw(st.lists(st.sampled_from(CONSTANTS), min_size=n, max_size=n))))
+    if facts:
+        facts += draw(st.lists(st.sampled_from(facts), max_size=3))
+        if draw(st.booleans()):  # in the order parse_database sorts them
+            facts.sort(key=lambda fact: f"{fact[0]}({','.join(fact[1])}).")
+        else:
+            facts = draw(st.permutations(facts))
+    parts = [draw(sep)]
+    for rel, args in facts:
         parts += [rel, draw(sep), "(", draw(sep)]
-        for i in range(ARITY[rel] if valid else draw(st.integers(1, 3))):
+        for i, name in enumerate(args):
             if i:
                 parts += [",", draw(sep)]
-            parts += [draw(st.sampled_from(["a", "b", "c1", "_", "0"])), draw(sep)]
+            parts += [name, draw(sep)]
         parts += [")", draw(sep), ".", draw(sep)]
     text = "".join(parts)
     if valid:
@@ -231,6 +247,7 @@ def _outcome(parse, text):
         return str(e), e.line, e.col
 
 
+@example("E(a).\nE(a, a, a).\nE(b, b).")  # arities 1 and 3 in a run of 2s add up
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(fact_texts())
 def test_parse_database_agrees_with_the_token_reader(text):
@@ -240,6 +257,38 @@ def test_parse_database_agrees_with_the_token_reader(text):
 def test_parse_database_agrees_on_text_outside_the_drawn_alphabet():
     for text in ("E(a,b).\nE(a).", "é(a).", "E(a) :- E(b).", "1E(a).", "E(a)" * 3000):
         assert _outcome(parse_database, text) == _outcome(_read_database, text)
+
+
+def test_parse_database_rejects_a_long_name_in_linear_time():
+    # Where no fact starts, the rest of the text is taken at once, not
+    # rescanned from each character of a long name: that took seconds.
+    for text in ("a" * 80_000 + ".", "E(" + "a" * 80_000, "E(a)." + "b" * 80_000 + "."):
+        start = time.perf_counter()
+        parsed = _outcome(parse_database, text)
+        assert time.perf_counter() - start < 0.5
+        assert parsed == _outcome(_read_database, text)
+
+
+def test_parse_database_peak_memory_is_bounded():
+    # 1e4 distinct facts in random order peak at 1.9-2.0 MB. The bound rules out
+    # one (?:fact)* match of the whole text, whose backtracking stack
+    # alone takes some MB.
+    rng = random.Random(1)
+    arity = {"E": 2, "P": 1, "T": 3}
+    facts: dict[str, None] = {}
+    while len(facts) < 10_000:
+        rel = rng.choice("EEEEEEEEEEEETTTTTPPP")
+        args = ", ".join(f"c{rng.randrange(2000)}" for _ in range(arity[rel]))
+        facts[f"{rel}({args})."] = None
+    text = "\n".join(facts) + "\n"
+    tracemalloc.start()
+    try:
+        db = parse_database(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(db.facts) == 10_000
+    assert peak <= 2_500_000
 
 
 DIFF_QUERIES = [parse_query(t) for t in (
@@ -272,6 +321,8 @@ def test_parsed_database_reads_as_one_built_from_its_facts(text):
     assert parsed.arities == built.arities and parsed.adom == built.adom
     assert _readings(parsed) == _readings(built)
     assert "facts" not in vars(parsed)
+    form, built_form = parsed._interned(), built._interned()
+    assert form == built_form and list(form[2]) == list(built_form[2])  # relations in order
     assert parsed.facts == built.facts
     assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
     assert _readings(parsed) == _readings(built)
