@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 from cqapprox.model import (
+    ArityError,
     Atom,
     BudgetError,
     ConjunctiveQuery,
@@ -160,20 +161,18 @@ def certify_overapprox(
 ) -> OverapproxCertificate | None:
     """identify_overapprox with evidence: None on a negative answer.
 
-    The certificate carries a validating decomposition, so for k > 1 one
-    must be supplied; width-1 decompositions are reconstructed here.
+    The certificate carries the decomposition that settled membership
+    (`_established_in_class`): the supplied cert, or an acyclic
+    candidate's join tree. A cyclic candidate at k > 1 without a cert is
+    settled by the exact-width search, which yields none, and raises.
     """
-    decomposition = cert
-    if cert is None and k == 1:
-        decomposition = ghw1_membership(cand)
-        if decomposition is None:
-            return None
-    elif cert is None and k > 1:
-        raise PreconditionUnknownError(
-            "certificates at width > 1 need a supplied decomposition"
-        )
-    elif not _established_in_class(cand, k, cert):
+    decomposition = _established_in_class(cand, k, cert)
+    if not decomposition:
         return None
+    if decomposition is True:
+        raise PreconditionUnknownError(
+            "a cyclic candidate's certificate at width > 1 needs a supplied decomposition"
+        )
     forward_ok, forward = wins_cover_game(cand, cand.free_vars, q, q.free_vars, k)
     if not forward_ok:
         return None
@@ -475,7 +474,7 @@ def symmetric_difference_eval(
 ) -> set:
     """Symmetric difference of the two result sets over db."""
     if len(q.free_vars) != len(q2.free_vars):
-        raise CqError(
-            f"head arities differ: {len(q.free_vars)} vs {len(q2.free_vars)}"
+        raise ArityError(
+            f"head arity mismatch: {len(q.free_vars)} vs {len(q2.free_vars)}"
         )
     return set(evaluate(q, db)) ^ set(evaluate(q2, db))

@@ -213,17 +213,16 @@ def chase_egds(q: ConjunctiveQuery, deps) -> ChaseResult:
     egds, tgds = _split(deps, q)
     if tgds:
         raise DependencyError("chase_egds accepts equality-generating dependencies only")
-    mapping: dict[Term, Term] = {v: v for v in q.variables}
     atoms = list(q.atoms)
+    sets = _UnionFind()  # each class's root is its least term
 
     while pending := list(_triggers(atoms, egds)):
-        sets = _UnionFind()
         for dep, h in pending:
             keep, drop = sorted((sets.find(h[dep.eq[0]]), sets.find(h[dep.eq[1]])))
             sets.union(drop, keep)
         atoms = list(dict.fromkeys(Atom(a.relation, tuple(map(sets.find, a.args))) for a in atoms))
-        mapping = {src: sets.find(tgt) for src, tgt in mapping.items()}
 
+    mapping = {v: sets.find(v) for v in q.variables}
     head = tuple(mapping[v] for v in q.free_vars)
     result = ConjunctiveQuery(head, tuple(atoms), q.name)
     return ChaseResult(result, Hom(mapping, q, result), True)
@@ -320,7 +319,7 @@ def eval_overapprox_under(
     """
     egds, tgds = _kinds(q, deps, max_depth)
     if not satisfies(db, deps):
-        raise CqError("the database does not satisfy the dependencies")
+        raise DependencyError("the database does not satisfy the dependencies")
     if not egds and all(d.guarded for d in tgds):
         return wins_cover_game(q, q.free_vars, db, a, k)[0]
     res = _chase(q, deps, max_depth)

@@ -82,7 +82,6 @@ of a whole acyclic body has no polynomial bound.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -476,9 +475,9 @@ class _Search:
                     gone |= proj[i][j] - d
             for val in gone:
                 queue += (v, val)
-        return self._propagate(queue, None)
+        return self._propagate(queue)
 
-    def _kill(self, i, rs, queue, changed) -> bool:
+    def _kill(self, i, rs, queue) -> bool:
         """Kill the live rows `rs` of atom i, queueing every value whose
         last support in atom i goes. False if a domain or atom empties, or
         a pinned variable loses its own value.
@@ -511,13 +510,11 @@ class _Search:
                         wiped = self.cut = True
                         continue
                     queue += (v, val)
-                    if changed is not None:
-                        changed.add(v)
             if wiped:
                 return False
         return True
 
-    def _propagate(self, queue, changed) -> bool:
+    def _propagate(self, queue) -> bool:
         """Process removed (var, value) pairs, oldest first, to the
         arc-consistent fixpoint. Oldest first finds a wipe-out in far
         fewer steps than newest first on the drops core() makes."""
@@ -527,11 +524,11 @@ class _Search:
             d = pop()
             for i, j in occ[v]:
                 # a count of 0: every row of atom i holding d at slot j is dead
-                if counts[i][j][d] and not self._kill(i, sig[i].hits[j][d], queue, changed):
+                if counts[i][j][d] and not self._kill(i, sig[i].hits[j][d], queue):
                     return False
         return True
 
-    def _assign(self, v, val, changed) -> bool:
+    def _assign(self, v, val) -> bool:
         if self.pins[v] >= 0 and self.pins[v] != val:
             self.cut = True
             return False
@@ -543,7 +540,7 @@ class _Search:
                 queue += (v, d)
                 self.trail.append(~(d << self.vbits | v))
         self.size[v] = 1
-        return self._propagate(queue, changed)
+        return self._propagate(queue)
 
     def pin(self, terms):
         """Pin each of `terms` that is a variable here to its own value: a
@@ -569,9 +566,9 @@ class _Search:
             if r is None:
                 continue
             for i in atoms:
-                if alive[i][r] and not self._kill(i, (r,), queue, None):
+                if alive[i][r] and not self._kill(i, (r,), queue):
                     return False
-        return self._propagate(queue, None)
+        return self._propagate(queue)
 
     def undo(self, mark) -> None:
         """Pop the trail back to `mark`."""
@@ -604,46 +601,31 @@ class _Search:
             yield dict(self.base)
             return
         dom, size, trail = self.dom, self.size, self.trail
-        n, vmask = len(self.vars), (1 << self.vbits) - 1
+        n = len(self.vars)
         ids = range(len(self.values))
-        assigned = bytearray(n)
+        unassigned = bytearray(b"\x01") * n
         chosen = [0] * n
-        # most-constrained-first via a lazy heap: entries are (count, var)
-        # pushed on every domain change, skipped when out of date
-        heap = [(c, v) for v, c in enumerate(size)]
-        heapq.heapify(heap)
         # frames: (var, remaining values in reverse order, trail mark)
         frames: list[tuple[int, list[int], int]] = []
 
-        def open_frame():
-            while True:
-                cnt, v = heapq.heappop(heap)
-                if not assigned[v] and cnt == size[v]:
-                    break
+        def open_frame():  # on the fewest values, ties to the least index
+            v = min(itertools.compress(range(n), unassigned), key=size.__getitem__)
             vals = list(itertools.compress(ids, dom[v]))
             vals.reverse()
             frames.append((v, vals, len(trail)))
+            unassigned[v] = 0
 
         open_frame()
         while frames:
             v, vals, mark = frames[-1]
-            # clear the previous attempt, requeueing the variables it restores
-            restored = {~e & vmask for e in trail[mark:] if e < 0}
-            self.undo(mark)
-            for u in restored:
-                heapq.heappush(heap, (size[u], u))
-            assigned[v] = 0
+            self.undo(mark)  # clear the previous attempt
             if not vals:
                 frames.pop()
-                heapq.heappush(heap, (size[v], v))
+                unassigned[v] = 1
                 continue
             chosen[v] = val = vals.pop()
-            assigned[v] = 1
-            changed: set[int] = set()
-            if not self._assign(v, val, changed):
+            if not self._assign(v, val):
                 continue
-            for u in changed:
-                heapq.heappush(heap, (size[u], u))
             if len(frames) == n:
                 sol = dict(self.base)
                 for u, _, _ in frames:

@@ -38,8 +38,9 @@ class BudgetError(CqError):
 
 
 class PreconditionUnknownError(CqError):
-    """A width precondition could not be verified (k > 1, no certificate,
-    size guard exceeded). Distinct from a plain False verdict."""
+    """A width precondition could not be verified (a cyclic candidate at
+    k > 1 with no certificate, size guard exceeded). Distinct from a plain
+    False verdict."""
 
 
 class DependencyError(CqError):

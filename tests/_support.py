@@ -156,3 +156,15 @@ def rand_tree_binary(rng: random.Random, max_atoms=10) -> ConjunctiveQuery:
         pair = (p, v) if rng.random() < 0.5 else (v, p)
         atoms.append(Atom("E", pair))
     return ConjunctiveQuery((), tuple(atoms))
+
+
+def search_state(search):
+    """A `hom._Search`'s state, copied: live rows, counts, domains, their
+    sizes and the pins."""
+    return (
+        [bytes(a) for a in search.alive],
+        [[list(c) for c in cs] for cs in search.counts],
+        [bytes(d) for d in search.dom],
+        list(search.size),
+        list(search.pins),
+    )

@@ -254,6 +254,18 @@ def test_certify_width_two_needs_decomposition():
         approx.certify_overapprox(triangle, triangle, 2)
 
 
+def test_certify_width_two_takes_an_acyclic_candidates_join_tree():
+    # an acyclic candidate's join tree validates at every k >= 1, so no
+    # cert is needed; the answer agrees with identify_overapprox
+    cert = approx.certify_overapprox(path2, path2, 2)
+    assert cert is not None and cert.k == 2
+    assert cert.decomposition == ghw1_membership(path2)
+    assert validate_decomposition(path2, cert.decomposition, 2)
+    assert approx.identify_overapprox(path2, path2, 2)
+    assert approx.certify_overapprox(fig1_q, fig1_qprime, 2) is None
+    assert not approx.identify_overapprox(fig1_q, fig1_qprime, 2)
+
+
 def test_certify_width_two_keeps_supplied_decomposition():
     td = TreeDecomposition({0: None}, {0: frozenset(triangle.variables)}, 2)
     cert = approx.certify_overapprox(triangle, triangle, 2, cert=td)
@@ -895,7 +907,7 @@ def test_symmetric_difference_triangle_c2():
 
 
 def test_symmetric_difference_arity_mismatch():
-    with pytest.raises(CqError):
+    with pytest.raises(ArityError):
         approx.symmetric_difference_eval(parse_query("q(x) :- E(x,y)."), triangle, c2_db)
 
 

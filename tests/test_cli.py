@@ -408,6 +408,16 @@ def test_identify_over_without_cert_at_k2(capsys, files):
     assert code == 2 and "inconclusive" in out and "inconclusive" in err
 
 
+def test_identify_over_acyclic_candidate_at_k2_needs_no_cert(capsys, files):
+    # fig1_qprime's join tree settles membership at k = 2; it is not the
+    # width-2 answer for fig1_q, which lies in GHW(2) itself
+    code, out, _ = run(
+        capsys, "identify-over", "--k", "2",
+        "--query", files["fig1_q"], "--candidate", files["fig1_qp"],
+    )
+    assert code == 1 and "false" in out
+
+
 def test_cert_round_trip(capsys, files, tmp_path):
     code, report, _ = run_json(
         capsys, "identify-over", "--k", "1",

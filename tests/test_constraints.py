@@ -12,6 +12,7 @@ from cqapprox.model import (
     Const,
     CqError,
     Database,
+    DependencyError,
     ParseError,
     Var,
     parse_database,
@@ -370,9 +371,9 @@ def test_eval_under_fd_setting():
 
 
 def test_eval_under_rejects_violating_database():
-    with pytest.raises(CqError):
+    with pytest.raises(DependencyError):
         cn.eval_overapprox_under(triangle, [closure], six_cycle, (), 1)
-    with pytest.raises(CqError):
+    with pytest.raises(DependencyError):
         cn.eval_overapprox_under(triangle, [closure, fd_egd], triangle_db, (), 1)
 
 

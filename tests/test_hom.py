@@ -47,6 +47,7 @@ from _support import (
     rand_cq,
     rand_db,
     rand_tree_binary,
+    search_state,
     triangle,
     triangle_db,
 )
@@ -389,16 +390,6 @@ def test_core_kills_few_rows_once_it_pins_the_atoms_it_fixed(monkeypatch):
     assert len(calls) <= 1500
 
 
-def _search_state(search):
-    return (
-        [bytes(a) for a in search.alive],
-        [[list(c) for c in cs] for cs in search.counts],
-        [bytes(d) for d in search.dom],
-        list(search.size),
-        list(search.pins),
-    )
-
-
 def _domains(search):
     return [
         {search.values[d] for d, on in enumerate(flags) if on} for flags in search.dom
@@ -461,7 +452,7 @@ def test_search_drop_matches_fresh_search_and_undo_restores():
         base = {v: v for v in q.free_vars}
         search = hom._Search(q.atoms, base, hom._Target(target))
         assert search.ok
-        before = _search_state(search)
+        before = search_state(search)
         for fact in target:
             mark = len(search.trail)
             dropped = search.drop(fact)
@@ -471,9 +462,9 @@ def test_search_drop_matches_fresh_search_and_undo_restores():
             if dropped:
                 assert _by_value(search) == _by_value(fresh), (q, fact)
             search.undo(mark)
-            assert _search_state(search) == before, (q, fact)
+            assert search_state(search) == before, (q, fact)
         assert len(list(search.solutions())) >= 1
-        assert _search_state(search) == before, q
+        assert search_state(search) == before, q
 
 
 def _pin_cases():
@@ -501,14 +492,14 @@ def test_pins_change_no_drop_test():
         kept = [b for b in q.atoms if find_hom(q, free, q.without_atom(b), free) is None]
         for search in pinned:
             search.pin(t for b in kept for t in b.args)
-        before = [_search_state(search) for search in pinned]
+        before = [search_state(search) for search in pinned]
         loose = [s for s in pinned if s.vars]
         shapes.add(("free", bool(base)))
         shapes.add(("anchored", len(loose) < len(groups)))
         shapes.add(("components", min(len(loose), 2)))
         for a in q.atoms:
             assert hom._solve(pinned, base, a) == hom._solve(plain, base, a), (q, a)
-            assert [_search_state(search) for search in pinned] == before, (q, a)
+            assert [search_state(search) for search in pinned] == before, (q, a)
     assert {("free", True), ("anchored", True), ("components", 1), ("components", 2)} <= shapes
 
 
@@ -650,11 +641,11 @@ def test_search_counts_a_value_with_more_than_255_rows():
     assert len(walks) == 604
     search = hom._Search(q.atoms, {}, hom._Target(db.facts))
     assert any(isinstance(c, list) for cs in search.counts for c in cs)
-    before = _search_state(search)
+    before = search_state(search)
     x, y, z, w = (Var(v) for v in "xyzw")
     found = [(s[x], s[y], s[z], s[w]) for s in search.solutions()]
     assert sorted(found) == sorted(walks) and len(found) == len(walks)
-    assert _search_state(search) == before
+    assert search_state(search) == before
     for fact in db.facts[:3] + db.facts[-3:]:
         mark = len(search.trail)
         dropped = search.drop(fact)
@@ -663,7 +654,7 @@ def test_search_counts_a_value_with_more_than_255_rows():
         if dropped:
             assert _by_value(search) == _by_value(fresh)
         search.undo(mark)
-        assert _search_state(search) == before
+        assert search_state(search) == before
 
 
 def test_endomorphism_counts():

@@ -11,7 +11,8 @@
   heads, over databases that are empty or share no relation with the
   body;
 - `_Search` returns a homomorphism the oracle finds, and None iff there
-  is none;
+  is none; exhausted, it lists each of the oracle's homomorphisms once
+  and leaves its state as it found it;
 - `_Search` starts from the greatest arc-consistent state, as plain sets
   cut to a fixpoint find it: the same domains, the same live facts per
   atom and every support count;
@@ -68,7 +69,7 @@ from _oracles import (  # noqa: E402
     brute_homs,
     brute_satisfies,
 )
-from _support import rand_anchored_pair  # noqa: E402
+from _support import rand_anchored_pair, search_state  # noqa: E402
 
 SCHEMA = (("E", 2), ("P", 1))
 TERNARY = SCHEMA + (("T", 3),)
@@ -305,6 +306,19 @@ def test_search_first_solution_is_an_oracle_hom(case):
     want = oracle(body, facts, anchors)
     assert (first is None) == (not want)
     assert first is None or first in want
+
+
+@DIFF
+@given(join_cases())
+def test_search_lists_each_oracle_hom_once_and_restores_its_state(case):
+    body, facts, anchors = case
+    search = _Search(body, anchors, _Target(facts))
+    before = search_state(search) if search.ok else None
+    found = list(search.solutions())
+    want = oracle(body, facts, anchors)
+    assert sorted(sorted(h.items()) for h in found) == sorted(sorted(h.items()) for h in want)
+    if search.ok:
+        assert search_state(search) == before
 
 
 @DIFF
