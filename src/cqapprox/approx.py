@@ -84,16 +84,15 @@ class HashQuery:
     hom_to_base: Hom
 
 
-def _established_in_class(cand: ConjunctiveQuery, k: int, cert) -> TreeDecomposition | bool:
-    """Decide cand ∈ GHW(k), or raise when that cannot be settled.
+def _established_in_class(cand: ConjunctiveQuery, k: int, cert) -> TreeDecomposition | None:
+    """A decomposition of cand at width ≤ k, None when cand is not in
+    GHW(k), or raise when that cannot be settled.
 
-    Returns the decomposition that settled it, `ghw1_membership`'s join
-    tree or the validated `cert`; True when the exact-width search of a
-    cyclic candidate settled it, which yields no decomposition; False
-    when cand is not in GHW(k). A supplied decomposition that does not
-    validate proves nothing, which is reported as the precondition being
-    unknown rather than false. k < 1 is an input error, raised before any
-    membership test, as `k_unions` raises it.
+    The decomposition is the validated `cert`, else `_ghw`'s. A supplied
+    decomposition that does not validate proves nothing, and neither
+    does a search past its size guard: both are reported as the
+    precondition being unknown rather than false. k < 1 is an input
+    error, raised before any membership test, as `k_unions` raises it.
     """
     if k < 1:
         raise CqError(f"k must be at least 1, got {k}")
@@ -104,27 +103,12 @@ def _established_in_class(cand: ConjunctiveQuery, k: int, cert) -> TreeDecomposi
             "the supplied decomposition does not validate at width "
             f"{k}; candidate membership is unverified"
         )
-    td = ghw1_membership(cand)
-    if td is not None:
-        return td
     try:
-        return _ghw(cand, k, None) is not None
+        return _ghw(cand, k)
     except BudgetError as err:
         raise PreconditionUnknownError(
             f"cannot verify membership in GHW({k}): {err}"
         ) from err
-
-
-def _maps_into(src: ConjunctiveQuery, tgt, tgt_tuple, k: int, member) -> bool:
-    """Is there a homomorphism from src, its head sent to tgt_tuple, into
-    tgt? src is in GHW(k) and `member` is what `_established_in_class`
-    settled that with: a decomposition, along which `_full_reducer`
-    answers in one semijoin pass, or True, and then the k-cover game
-    answers. For a source in GHW(k) the game wins exactly when a
-    homomorphism exists (Chen & Dalmau 2005)."""
-    if member is True:
-        return wins_cover_game(src, src.free_vars, tgt, tgt_tuple, k)[0]
-    return _full_reducer(src, src.free_vars, tgt, tgt_tuple, member)
 
 
 def identify_overapprox(
@@ -137,10 +121,10 @@ def identify_overapprox(
     outside GHW(k) yields False; when membership cannot be settled
     within the size guard, PreconditionUnknownError is raised.
 
-    The forward direction, a homomorphism cand → q, is decided as
-    `_maps_into` says: by `_full_reducer` along the decomposition that
-    settled membership, and only for a cyclic candidate settled by the
-    exact-width search, which yields none, by the forward game.
+    The forward direction, a homomorphism cand → q, is decided by
+    `_full_reducer` along the decomposition that settled membership,
+    which answers as the k-cover game out of a GHW(k) source does
+    (Chen & Dalmau 2005).
 
     Membership is read literally, on cand as written: a candidate that
     is only equivalent to a GHW(k) query (a cyclic query with an acyclic
@@ -148,10 +132,8 @@ def identify_overapprox(
     identify_delta and eval_delta_filtered read their candidate the same
     way.
     """
-    member = _established_in_class(cand, k, cert)
-    if not member:
-        return False
-    if not _maps_into(cand, q, q.free_vars, k, member):
+    td = _established_in_class(cand, k, cert)
+    if td is None or not _full_reducer(cand, cand.free_vars, q, q.free_vars, td):
         return False
     return wins_cover_game(q, q.free_vars, cand, cand.free_vars, k)[0]
 
@@ -159,20 +141,12 @@ def identify_overapprox(
 def certify_overapprox(
     q: ConjunctiveQuery, cand: ConjunctiveQuery, k: int, cert=None
 ) -> OverapproxCertificate | None:
-    """identify_overapprox with evidence: None on a negative answer.
-
-    The certificate carries the decomposition that settled membership
-    (`_established_in_class`): the supplied cert, or an acyclic
-    candidate's join tree. A cyclic candidate at k > 1 without a cert is
-    settled by the exact-width search, which yields none, and raises.
-    """
+    """identify_overapprox with evidence: None on a negative answer. The
+    certificate carries the decomposition that settled membership
+    (`_established_in_class`)."""
     decomposition = _established_in_class(cand, k, cert)
-    if not decomposition:
+    if decomposition is None:
         return None
-    if decomposition is True:
-        raise PreconditionUnknownError(
-            "a cyclic candidate's certificate at width > 1 needs a supplied decomposition"
-        )
     forward_ok, forward = wins_cover_game(cand, cand.free_vars, q, q.free_vars, k)
     if not forward_ok:
         return None
@@ -431,14 +405,13 @@ def identify_delta(
 
     True iff cand lies in GHW(k), the cover game q into cand succeeds,
     and neither query contains the other. Whether q ⊆ cand, a
-    homomorphism cand → q, is decided as `_maps_into` says.
+    homomorphism cand → q, is decided by `_full_reducer` along cand's
+    decomposition.
     """
-    member = _established_in_class(cand, k, cert)
-    if not member:
+    td = _established_in_class(cand, k, cert)
+    if td is None or not wins_cover_game(q, q.free_vars, cand, cand.free_vars, k)[0]:
         return False
-    if not wins_cover_game(q, q.free_vars, cand, cand.free_vars, k)[0]:
-        return False
-    return not _maps_into(cand, q, q.free_vars, k, member) and not contains(cand, q)
+    return not _full_reducer(cand, cand.free_vars, q, q.free_vars, td) and not contains(cand, q)
 
 
 def eval_delta_filtered(
@@ -454,11 +427,11 @@ def eval_delta_filtered(
     in q_inc(D). Warns when q_inc is comparable with q (the filter then
     adds nothing beyond an over- or under-approximation). The
     homomorphisms out of q_inc, into q for q ⊆ q_inc and into (D, ā), are
-    decided as `_maps_into` says."""
-    member = _established_in_class(q_inc, k, cert)
-    if not member:
+    decided by `_full_reducer` along q_inc's decomposition."""
+    td = _established_in_class(q_inc, k, cert)
+    if td is None:
         raise CqError(f"filter query is not in GHW({k})")
-    if _maps_into(q_inc, q, q.free_vars, k, member) or contains(q_inc, q):
+    if _full_reducer(q_inc, q_inc.free_vars, q, q.free_vars, td) or contains(q_inc, q):
         warnings.warn(
             "filter query is comparable with the base query",
             ComparabilityWarning,
@@ -466,7 +439,7 @@ def eval_delta_filtered(
         )
     if not wins_cover_game(q, q.free_vars, db, a, k)[0]:
         return False
-    return _maps_into(q_inc, db, a, k, member)
+    return _full_reducer(q_inc, q_inc.free_vars, db, a, td)
 
 
 def symmetric_difference_eval(

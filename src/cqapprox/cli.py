@@ -57,7 +57,6 @@ from cqapprox.pebble import (
 )
 from cqapprox.width import (
     _ghw,
-    ghw1_membership,
     parse_decomposition,
     serialize_decomposition,
 )
@@ -409,14 +408,10 @@ def _run(args) -> tuple[str, dict | None, str | None]:
 
     if cmd == "width":
         q = _load_query(args.query)
-        td = ghw1_membership(q)
-        got = _ghw(q, args.k, td)
-        if got is None:
+        td = _ghw(q, args.k)
+        if td is None:
             return "false", {"bound": args.k}, None
-        witness = {"ghw": got}
-        if td is not None:
-            witness["decomposition"] = serialize_decomposition(td)
-        return "true", witness, None
+        return "true", {"ghw": td.width, "decomposition": serialize_decomposition(td)}, None
 
     raise CqError(f"unhandled command {cmd}")  # pragma: no cover
 

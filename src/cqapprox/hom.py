@@ -756,10 +756,10 @@ def _full_reducer(source, src_tuple, target, tgt_tuple, td) -> bool:
         order.extend(kids.get(n, ()))
     shapes: dict[tuple, list] = {}
     semis: dict[int, list] = {}  # per node, its children's shared terms and their images
+    by_set = {a.arg_set: a for a in source.atoms}
     for n in reversed(order):
         bag, atoms = bags[n], placed.get(n, [])
         if not bag.issubset([t for a in atoms for t in a.args]):
-            by_set = {a.arg_set: a for a in source.atoms}
             cover = map(by_set.__getitem__, _cover(bag, by_set, None))
             atoms = list(dict.fromkeys([*cover, *atoms]))
         keep = sorted(bag)

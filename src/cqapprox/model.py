@@ -38,9 +38,9 @@ class BudgetError(CqError):
 
 
 class PreconditionUnknownError(CqError):
-    """A width precondition could not be verified (a cyclic candidate at
-    k > 1 with no certificate, size guard exceeded). Distinct from a plain
-    False verdict."""
+    """A width precondition could not be verified (the exact-width
+    search's size guard exceeded, or a supplied certificate that does not
+    validate). Distinct from a plain False verdict."""
 
 
 class DependencyError(CqError):

@@ -373,9 +373,8 @@ def unroll_with_decomposition(
     inside the anchors, so the correspondence starts at c = 1.
     """
     tree = _Tree(q, k, pruned=False)
-    if c < 0:
-        raise CqError(f"depth must be nonnegative, got {c}")
-    if budget is not None and (size := tree.size(c)) > budget:
+    size = tree.size(c)
+    if budget is not None and size > budget:
         warnings.warn(
             f"unrolling emits {size} atoms (budget {budget})",
             UnrollBudgetWarning,
@@ -433,6 +432,8 @@ class _Tree:
 
     def size(self, c: int) -> int:
         """Atoms the complete q_c emits, before deduplication."""
+        if c < 0:
+            raise CqError(f"depth must be nonnegative, got {c}")
         n = len(self.vlists)  # a tree without unions emits nothing at any depth
         return sum(map(len, self.contained)) * (c if n < 2 else (n**c - 1) // (n - 1))
 

@@ -5,7 +5,8 @@ width of a bag is the least number of query atoms whose argument sets
 jointly cover it. GHW(1) membership (acyclicity) is decided exactly by
 the weight of a maximum spanning forest of the hyperedge intersection
 graph, which is also the join tree; small cyclic instances get an exact
-width via elimination-order dynamic programming over variable subsets.
+width, and a decomposition of that width, via elimination-order dynamic
+programming over variable subsets.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 from cqapprox.model import (
     BudgetError,
     ConjunctiveQuery,
+    CqError,
     ParseError,
     Term,
     Var,
@@ -168,25 +170,33 @@ _GHW_VAR_GUARD = 12
 
 
 def compute_ghw(q: ConjunctiveQuery, kmax: int) -> int | None:
-    """Exact generalized hypertreewidth, or None when it exceeds kmax.
+    """Exact generalized hypertreewidth (`_ghw`'s decomposition's), or
+    None when it exceeds kmax; a negative kmax raises CqError."""
+    td = _ghw(q, kmax)
+    return None if td is None else td.width
 
-    An acyclic query (ghw1_membership) has width 1 at any size, 0 without
-    existential variables. A cyclic one goes to a dynamic program over
-    subsets of existential variables: the last variable eliminated within
-    a subset determines a bag (itself plus its neighborhood through
-    already-eliminated variables), and the cover number of that bag feeds
-    the running maximum. Only that search, run at kmax ≥ 2 (a cyclic
-    query is never in GHW(1)), is guarded: past 12 existential variables
-    it raises BudgetError.
+
+def _ghw(q: ConjunctiveQuery, kmax: int) -> TreeDecomposition | None:
+    """A decomposition of q of least width, None when that width exceeds
+    kmax.
+
+    An acyclic query gets `ghw1_membership`'s join tree: width 1 at any
+    size, 0 without existential variables. A cyclic one goes to a dynamic
+    program over subsets of existential variables: the last variable
+    eliminated within a subset determines a bag (itself plus its
+    neighborhood through already-eliminated variables), and the cover
+    number of that bag feeds the running maximum. Each subset keeps its
+    last variable, so the best order is read back; a variable's bag hangs
+    off that of the earliest eliminated other variable in it, else off
+    the empty root 0. Only that search, run at kmax ≥ 2 (a cyclic query
+    is never in GHW(1)), is guarded: past 12 existential variables it
+    raises BudgetError.
     """
-    return _ghw(q, kmax, ghw1_membership(q))
-
-
-def _ghw(q: ConjunctiveQuery, kmax: int, td: TreeDecomposition | None) -> int | None:
-    """compute_ghw given td = ghw1_membership(q), which a caller that
-    also reports the decomposition computes once."""
+    if kmax < 0:
+        raise CqError(f"width bound must be nonnegative, got {kmax}")
+    td = ghw1_membership(q)
     if td is not None:
-        return td.width if td.width <= kmax else None
+        return td if td.width <= kmax else None
     if kmax < 2:
         return None
     evars = sorted(q.existential_vars)
@@ -235,23 +245,40 @@ def _ghw(q: ConjunctiveQuery, kmax: int, td: TreeDecomposition | None) -> int | 
         return bag
 
     best: dict[int, int] = {0: 0}
-    for size in range(1, n + 1):
+    last: dict[int, int] = {}  # per subset, the variable eliminated last in it
+    for _ in range(n):
         nxt: dict[int, int] = {}
         for elim, width in best.items():
             for v in range(n):
                 if elim >> v & 1:
                     continue
                 cov = bag_cover(bag_of(v, elim))
-                if cov is None:
+                if cov is None:  # more than kmax atoms
                     continue
                 w2 = max(width, cov)
                 key = elim | 1 << v
                 if nxt.get(key, kmax + 1) > w2:
                     nxt[key] = w2
-        best = {s: w for s, w in nxt.items() if w <= kmax}
-        if not best:
+                    last[key] = v
+        if not nxt:
             return None
-    return best.get((1 << n) - 1)
+        best = nxt
+
+    # back from the full set, later variables come first and get smaller
+    # nodes: the largest node in a bag is its earliest eliminated other one
+    parent: dict[int, int | None] = {0: None}
+    bags: dict[int, frozenset[Term]] = {0: frozenset()}
+    node: dict[int, int] = {}
+    elim = full = (1 << n) - 1
+    while elim:
+        v = last[elim]
+        elim ^= 1 << v
+        bag = bag_of(v, elim)
+        up = max((node[u] for u in node if bag >> u & 1), default=0)
+        node[v] = len(node) + 1
+        parent[node[v]] = up
+        bags[node[v]] = frozenset(evars[u] for u in range(n) if bag >> u & 1)
+    return TreeDecomposition(parent, bags, best[full])
 
 
 # --- certificate files --------------------------------------------------------

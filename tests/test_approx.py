@@ -193,11 +193,12 @@ def test_identify_decides_a_decomposed_candidate_forward_by_semijoins(monkeypatc
     assert built == [triangle]
 
 
-def test_identify_plays_both_games_for_a_candidate_without_a_decomposition(monkeypatch):
-    # a cyclic candidate settled by the exact-width search comes with no tree
+def test_identify_plays_one_game_for_a_cyclic_candidate(monkeypatch):
+    # the exact-width search returns the triangle's decomposition, along
+    # which the semijoins decide cand -> q; only q's game into cand is played
     built = _count_games(monkeypatch)
     assert approx.identify_overapprox(triangle, triangle, 2)
-    assert len(built) == 2
+    assert built == [triangle]
 
 
 def test_a_certificate_may_hold_its_bags_as_sets():
@@ -249,9 +250,15 @@ def test_certify_negative_returns_none():
     assert approx.certify_overapprox(triangle, c2, 1) is None
 
 
-def test_certify_width_two_needs_decomposition():
-    with pytest.raises(PreconditionUnknownError):
-        approx.certify_overapprox(triangle, triangle, 2)
+def test_certify_width_two_finds_a_cyclic_candidates_decomposition():
+    cert = approx.certify_overapprox(triangle, triangle, 2)
+    assert cert is not None and cert.k == 2
+    assert cert.decomposition.width == 2
+    assert validate_decomposition(triangle, cert.decomposition, 2)
+    # the directed 4-cycle does not map into the triangle: no certificate
+    c4 = directed_cycle(4)
+    assert approx.certify_overapprox(triangle, c4, 2) is None
+    assert not approx.identify_overapprox(triangle, c4, 2)
 
 
 def test_certify_width_two_takes_an_acyclic_candidates_join_tree():
@@ -864,9 +871,10 @@ def test_delta_answers_agree_with_find_hom():
         assert got == want
 
 
-def test_delta_plays_the_game_for_a_candidate_without_a_decomposition():
-    # a cyclic candidate settled by the exact-width search: the k-cover game
-    # out of it answers as find_hom does (Chen & Dalmau 2005)
+def test_delta_reduces_along_a_cyclic_candidates_decomposition():
+    # a cyclic candidate's decomposition comes from the exact-width search;
+    # the semijoins along it answer as the k-cover game out of it and
+    # find_hom do (Chen & Dalmau 2005)
     rng = random.Random(38)
     seen = 0
     for _ in range(300):

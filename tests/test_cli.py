@@ -401,9 +401,23 @@ def test_eval_delta_comparability_flag(capsys, files):
 
 
 def test_identify_over_without_cert_at_k2(capsys, files):
-    code, out, err = run(
+    # the exact-width search settles the cyclic candidate with a decomposition
+    code, report, _ = run_json(
         capsys, "identify-over", "--k", "2",
         "--query", files["triangle"], "--candidate", files["triangle"],
+    )
+    assert code == 0 and report["verdict"] == "true"
+    td = parse_decomposition(report["witness"]["decomposition"])
+    assert validate_decomposition(parse_query(Path(files["triangle"]).read_text()), td, 2)
+
+
+def test_identify_over_past_the_width_guard_is_inconclusive(capsys, files, tmp_path):
+    cycle = " , ".join(f"E(v{i},v{(i + 1) % 14})" for i in range(14))
+    p = tmp_path / "cycle.cq"
+    p.write_text(f"q() :- {cycle}.")
+    code, out, err = run(
+        capsys, "identify-over", "--k", "2",
+        "--query", files["triangle"], "--candidate", str(p),
     )
     assert code == 2 and "inconclusive" in out and "inconclusive" in err
 
@@ -490,6 +504,16 @@ def test_width_guard_is_inconclusive(capsys, files, tmp_path):
     assert code == 2 and "inconclusive" in err
 
 
+def test_width_rejects_a_negative_bound(capsys, files):
+    code, _, err = run(capsys, "width", "--query", files["triangle"], "--k", "-1")
+    assert code == 3 and "width bound must be nonnegative" in err
+
+
+def test_unroll_rejects_a_negative_depth(capsys, files):
+    code, _, err = run(capsys, "unroll", "--query", files["triangle"], "--rounds", "-1")
+    assert code == 3 and "depth must be nonnegative" in err
+
+
 def test_width_at_k1_decides_a_long_cycle(capsys, tmp_path):
     # a cyclic query is never in GHW(1): the size guard does not apply
     cycle = " , ".join(f"E(v{i},v{(i + 1) % 14})" for i in range(14))
@@ -517,10 +541,9 @@ def test_width_tests_acyclicity_once_per_op(capsys, tmp_path, monkeypatch, sourc
     p = tmp_path / "q.cq"
     p.write_text(out)
     q = parse_query(out)
-    td = width.ghw1_membership(q)
-    want = {"ghw": 2} if td is None else {
-        "ghw": 1, "decomposition": width.serialize_decomposition(td)
-    }
+    td = width._ghw(q, 3)
+    assert td.width == (2 if source == "triangle" else 1)
+    want = {"ghw": td.width, "decomposition": width.serialize_decomposition(td)}
     calls = []
     real = width.ghw1_membership
 
@@ -529,7 +552,6 @@ def test_width_tests_acyclicity_once_per_op(capsys, tmp_path, monkeypatch, sourc
         return real(query)
 
     monkeypatch.setattr(width, "ghw1_membership", counting)
-    monkeypatch.setattr(cli, "ghw1_membership", counting)
     code, report, _ = run_json(capsys, "width", "--query", str(p))
     assert len(calls) == 1
     assert (code, report["verdict"], report["flags"]) == (0, "true", [])

@@ -587,6 +587,13 @@ def test_unroll_triangle_depth_two_sizes():
     assert len(qc.atoms) == 9
 
 
+def test_unroll_size_rejects_a_negative_depth():
+    with pytest.raises(CqError, match="depth must be nonnegative, got -1"):
+        pebble.unroll_size(gen_qn(2), 1, -1)
+    with pytest.raises(CqError, match="depth must be nonnegative, got -1"):
+        pebble.unroll(gen_qn(2), 1, -1, budget=None)
+
+
 def test_unroll_single_union_collapses():
     # one k-union means one occurrence chain: q_c is q renamed apart
     q = parse_query("q(x) :- E(x,y).")

@@ -11,6 +11,7 @@ from cqapprox.model import (
     Atom,
     BudgetError,
     ConjunctiveQuery,
+    CqError,
     Term,
     Var,
     _UnionFind,
@@ -130,6 +131,12 @@ def test_compute_ghw_guard_spares_acyclic_queries():
         assert len(q.existential_vars) > 12
         assert compute_ghw(q, 2) == 1
         assert compute_ghw(q, 0) is None
+
+
+def test_compute_ghw_rejects_a_negative_bound():
+    for q in (triangle, path2, parse_query("q(x) :- E(x,x).")):
+        with pytest.raises(CqError, match="width bound must be nonnegative, got -1"):
+            compute_ghw(q, -1)
 
 
 def test_a_query_without_existential_variables_has_width_zero():

@@ -3,6 +3,9 @@
 - `ghw1_membership` finds a decomposition iff the elimination-order
   oracle puts the width at 1, and every decomposition it returns
   validates at width 1;
+- the exact-width search returns a decomposition at k iff the oracle's
+  width is at most k, of the oracle's width, and both validators accept
+  it at k;
 - `validate_decomposition` agrees with the per-variable search of the
   reference validator on random rooted trees and bags, including bags
   that disconnect a variable;
@@ -31,11 +34,13 @@ from cqapprox.model import (  # noqa: E402
 from cqapprox.pebble import wins_cover_game  # noqa: E402
 from cqapprox.width import (  # noqa: E402
     TreeDecomposition,
+    _ghw,
     ghw1_membership,
     validate_decomposition,
 )
 
 from _oracles import oracle_ghw, reference_validate_decomposition  # noqa: E402
+from _support import rand_binary_boolean_cq, rand_cq  # noqa: E402
 
 SCHEMA = (("E", 2), ("P", 1), ("T", 3))
 BINARY = (("E", 2), ("P", 1))
@@ -99,6 +104,25 @@ def test_ghw1_membership_is_width_one(q):
     assert (td is not None) == (oracle_ghw(q) <= 1)
     if td is not None:
         assert validate_decomposition(q, td, 1)
+
+
+@DIFF
+@given(
+    st.randoms(use_true_random=False),
+    st.sampled_from([
+        lambda rng: rand_cq(rng, max_atoms=6, max_vars=5, n_free=rng.randint(0, 2)),
+        lambda rng: rand_binary_boolean_cq(rng, max_atoms=8, max_vars=4),
+    ]),
+    st.integers(1, 4),
+)
+def test_exact_width_search_returns_a_least_width_decomposition(rng, draw_query, k):
+    q = draw_query(rng)
+    td, width = _ghw(q, k), oracle_ghw(q)
+    assert (td is None) == (width is None or width > k)
+    if td is not None:
+        assert td.width == width
+        assert validate_decomposition(q, td, k)
+        assert reference_validate_decomposition(q, td, k)
 
 
 @DIFF
